@@ -16,6 +16,13 @@ echo "==> differential oracle (PROPTEST_CASES=64)"
 PROPTEST_CASES=64 cargo test -q --test instrumented_differential
 PROPTEST_CASES=64 cargo test -q -p wasabi-vm --test zero_cost_unsubscribed
 
+# The one interpreter loop against the independent structured-walk
+# Reference on random uninstrumented modules. Both `invoke` and the cohort
+# run that loop, so this is the only suite that checks it against a second
+# implementation; it is cheap, so it runs at a higher count.
+echo "==> flat vs. Reference oracle (PROPTEST_CASES=256)"
+PROPTEST_CASES=256 cargo test -q -p wasabi-vm --test flat_vs_reference
+
 # Cohort differential gate: N interleaved instances must stay
 # bit-identical to N sequential runs (results, traps, instruction
 # counts, memory, globals) across random modules, chunk sizes, fuel
@@ -459,5 +466,12 @@ fi
 wait "$WASABID_PID"
 WASABID_PID=""
 echo "    cohort: sweep_args e2e verified"
+
+# End-to-end benchmark smoke: build the wasabid benchmark (its `replay`
+# bin calls the VM, fleet, cache and stats APIs directly, so an API change
+# that breaks it fails here), run every workload briefly through a real
+# daemon, and check every result against the Reference oracle.
+echo "==> wasabid benchmark smoke"
+python3 wasabid-bench/run.py --smoke
 
 echo "ci.sh: all checks passed"

@@ -968,6 +968,10 @@ fn run_job(
 
 #[cfg(test)]
 mod tests {
+    // Every job passes the process-global `fleet/job` failpoint, which two
+    // tests below arm. So every test that runs jobs holds the fault test
+    // lock: an injected fault must neither land in a sibling test's job
+    // nor be used up by one.
     use super::*;
     use crate::event::{AnalysisCtx, BinaryEvt};
     use crate::hooks::Hook;
@@ -1032,6 +1036,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_submission_order() {
+        let _serial = crate::fault::test_lock();
         let module = Arc::new(square_module());
         for workers in [1, 2, 5, 16] {
             let mut fleet = Fleet::builder().workers(workers).build();
@@ -1060,6 +1065,7 @@ mod tests {
 
     #[test]
     fn analyses_are_constructed_fresh_per_job() {
+        let _serial = crate::fault::test_lock();
         let module = Arc::new(square_module());
         let mut fleet = Fleet::builder().workers(2).factory(test_factory).build();
         for i in 0..4 {
@@ -1083,6 +1089,7 @@ mod tests {
 
     #[test]
     fn unknown_analysis_fails_only_its_job() {
+        let _serial = crate::fault::test_lock();
         let module = Arc::new(square_module());
         let mut fleet = Fleet::builder().workers(2).factory(test_factory).build();
         fleet.submit(Job::new(
@@ -1105,6 +1112,7 @@ mod tests {
 
     #[test]
     fn a_panicking_analysis_fails_only_its_job() {
+        let _serial = crate::fault::test_lock();
         let module = Arc::new(square_module());
         let mut fleet = Fleet::builder().workers(2).factory(test_factory).build();
         fleet.submit(
@@ -1135,6 +1143,7 @@ mod tests {
 
     #[test]
     fn no_factory_rejects_jobs_naming_analyses() {
+        let _serial = crate::fault::test_lock();
         let module = Arc::new(square_module());
         let mut fleet = Fleet::builder().workers(1).build();
         fleet.submit(Job::new("square", module, "main", vec![Val::I32(1)]).analyses(["binaries"]));
@@ -1147,6 +1156,7 @@ mod tests {
 
     #[test]
     fn bad_export_fails_only_its_job() {
+        let _serial = crate::fault::test_lock();
         let module = Arc::new(square_module());
         let mut fleet = Fleet::builder().workers(2).build();
         fleet.submit(Job::new("square", Arc::clone(&module), "nope", vec![]));
@@ -1166,6 +1176,7 @@ mod tests {
 
     #[test]
     fn builder_chaining_submits_jobs_and_shares_the_cache() {
+        let _serial = crate::fault::test_lock();
         let module = Arc::new(square_module());
         let cache = ModuleCache::shared();
         let mut fleet = Fleet::builder()
@@ -1197,6 +1208,7 @@ mod tests {
 
     #[test]
     fn stats_record_queue_and_execute_times_and_the_executing_worker() {
+        let _serial = crate::fault::test_lock();
         let module = Arc::new(square_module());
         let mut fleet = Fleet::builder().workers(3).build();
         for i in 0..9 {
@@ -1228,6 +1240,7 @@ mod tests {
 
     #[test]
     fn streaming_delivers_every_outcome_exactly_once_with_matching_summary() {
+        let _serial = crate::fault::test_lock();
         let module = Arc::new(square_module());
         for workers in [1, 3, 8] {
             let mut fleet = Fleet::builder().workers(workers).build();
@@ -1263,6 +1276,7 @@ mod tests {
 
     #[test]
     fn streaming_delivers_early_outcomes_before_the_batch_completes() {
+        let _serial = crate::fault::test_lock();
         // One worker, FIFO deal: job 0 must reach the callback while job 2
         // has not yet produced an outcome — the callback observes how many
         // outcomes exist at delivery time.
@@ -1289,6 +1303,7 @@ mod tests {
 
     #[test]
     fn streaming_panics_are_contained_like_batch_runs() {
+        let _serial = crate::fault::test_lock();
         let module = Arc::new(square_module());
         let mut fleet = Fleet::builder().workers(2).factory(test_factory).build();
         fleet.submit(
@@ -1308,6 +1323,7 @@ mod tests {
 
     #[test]
     fn workers_are_clamped_to_the_job_count() {
+        let _serial = crate::fault::test_lock();
         let module = Arc::new(square_module());
         let mut fleet = Fleet::builder().workers(64).build();
         fleet.submit(Job::new("square", module, "main", vec![Val::I32(2)]));
@@ -1326,6 +1342,7 @@ mod tests {
 
     #[test]
     fn deadline_times_out_a_spinning_job_while_siblings_complete() {
+        let _serial = crate::fault::test_lock();
         let spin = Arc::new(spin_module());
         let square = Arc::new(square_module());
         let mut fleet = Fleet::builder().workers(2).build();
@@ -1355,6 +1372,7 @@ mod tests {
 
     #[test]
     fn pre_fired_cancel_token_cancels_the_job() {
+        let _serial = crate::fault::test_lock();
         let spin = Arc::new(spin_module());
         let token = CancelToken::new();
         token.cancel();
@@ -1369,6 +1387,7 @@ mod tests {
 
     #[test]
     fn memory_cap_fails_the_job_with_memory_limit() {
+        let _serial = crate::fault::test_lock();
         let mut builder = ModuleBuilder::new();
         builder.memory(1, None);
         builder.function("grow", &[], &[ValType::I32], |f| {

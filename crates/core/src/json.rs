@@ -239,14 +239,14 @@ impl std::error::Error for JsonParseError {}
 /// malformed construct.
 pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
     let mut parser = Parser {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
         depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
     parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != parser.text.len() {
         return Err(parser.error("trailing characters after JSON value"));
     }
     Ok(value)
@@ -258,7 +258,7 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
@@ -272,7 +272,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
@@ -291,7 +291,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -408,14 +408,14 @@ impl Parser<'_> {
                     return Err(self.error("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text =
-                        std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = text.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one go. Those are ASCII, so the run
+                    // ends on a char boundary of the `&str` input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -426,7 +426,7 @@ impl Parser<'_> {
         // Surrogate pair: a high surrogate must be followed by an escaped
         // low surrogate.
         if (0xD800..0xDC00).contains(&unit) {
-            if self.bytes[self.pos..].starts_with(b"\\u") {
+            if self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                 self.pos += 2;
                 let low = self.hex4()?;
                 if (0xDC00..0xE000).contains(&low) {
@@ -492,7 +492,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII");
+        let text = &self.text[start..self.pos];
         if integral {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(JsonValue::UInt(v));

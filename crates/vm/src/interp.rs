@@ -23,10 +23,16 @@
 //! per-call target match, and [`Instance::host_call_counts`] reports how
 //! many calls took the intrinsic vs. the generic route.
 //!
+//! There is one dispatch loop, `Instance::resume_frames`, over an explicit
+//! frame stack: [`Instance::invoke`] runs it to completion and
+//! [`Instance::resume`] in bounded rounds, so WebAssembly recursion costs
+//! heap frames, not native stack.
+//!
 //! `executed_instrs` counts **original** instructions (each op carries the
-//! number of instructions it was fused from), accumulated in a per-frame
-//! local and flushed on frame exit, so the count — and fuel accounting —
-//! is exactly equal to the structured-walk semantics.
+//! number of instructions it was fused from), accumulated in a per-round
+//! local and flushed once when the round returns, suspends, or traps, so
+//! the count — and fuel accounting — is exactly equal to the
+//! structured-walk semantics.
 
 use std::sync::Arc;
 
@@ -46,10 +52,13 @@ use crate::trap::{InstantiationError, Trap};
 
 /// Default limit on nested WebAssembly calls.
 ///
-/// Each WebAssembly frame is an interpreter stack frame, so the limit is
-/// conservative enough for 2 MiB threads even in debug builds (where the
-/// interpreter's dispatch frame is at its largest); raise it with
-/// [`Instance::set_max_call_depth`] for deeply recursive workloads.
+/// The flat interpreter keeps WebAssembly frames on the heap, so the limit
+/// does not guard the native stack there; raise it with
+/// [`Instance::set_max_call_depth`] for deeply recursive workloads. The
+/// default stays 256 because the trap point is observable behaviour
+/// (`recursion_at_exactly_the_depth_limit` pins it) and because the
+/// [`crate::Reference`] oracle, which shares the limit, still recurses
+/// natively: one Rust frame per WebAssembly call.
 pub const DEFAULT_MAX_CALL_DEPTH: usize = 256;
 
 /// Where a function index leads: interpreted code or a host function.
@@ -664,7 +673,8 @@ impl Instance {
         self.invoke(idx, args, host)
     }
 
-    /// Invoke the function at `func_idx`.
+    /// Invoke the function at `func_idx`: a [`Resumable`] run to
+    /// completion in one round with no quota.
     ///
     /// # Errors
     ///
@@ -676,83 +686,30 @@ impl Instance {
         args: &[Val],
         host: &mut dyn Host,
     ) -> Result<Vec<Val>, Trap> {
-        let ty = &self.module.functions[func_idx.to_usize()].type_;
-        if ty.params.len() != args.len() || ty.params.iter().zip(args).any(|(&p, a)| a.ty() != p) {
-            return Err(Trap::HostError(format!(
-                "invoke arguments {args:?} do not match type {ty}"
-            )));
-        }
-        self.call_function(func_idx, args, host, 0)
-    }
-
-    pub(crate) fn call_function(
-        &mut self,
-        func_idx: Idx<FunctionSpace>,
-        args: &[Val],
-        host: &mut dyn Host,
-        depth: usize,
-    ) -> Result<Vec<Val>, Trap> {
-        if depth >= self.max_call_depth {
-            return Err(Trap::CallStackExhausted);
-        }
-        match self.func_targets[func_idx.to_usize()] {
-            FuncTarget::Host(id) => {
-                self.host_calls_slow += 1;
-                let ctx = HostCtx {
-                    memory: self.memory.as_mut(),
-                    table: self.table.as_mut(),
-                    globals: &mut self.globals,
-                };
-                host.call(id, args, ctx)
-            }
-            FuncTarget::Wasm => self.run_wasm_function(func_idx, args, host, depth),
+        let mut activation = self.begin_resumable(func_idx, args)?;
+        match self.run(&mut activation, host, None)? {
+            StepOutcome::Done(results) => Ok(results),
+            StepOutcome::Pending => unreachable!("a run without a quota never suspends"),
         }
     }
 
-    /// The generic `call` op body. Never inlined: the result buffer and
-    /// call bookkeeping must not enlarge the recursive
-    /// [`Instance::exec_ops`] frame (the call-depth limit is sized for
-    /// 2 MiB threads in debug builds).
-    #[inline(never)]
-    fn call_op(
+    /// Call a host function through the generic call machinery (a `call`
+    /// or `call_indirect` of an import, or an invoked import): the host
+    /// receives `stack[at..]` and its results replace it.
+    fn host_call_slow(
         &mut self,
-        callee: u32,
+        id: HostFuncId,
         stack: &mut Vec<Val>,
         at: usize,
         host: &mut dyn Host,
-        depth: usize,
     ) -> Result<(), Trap> {
-        let results = self.call_function(Idx::from(callee), &stack[at..], host, depth + 1)?;
-        stack.truncate(at);
-        stack.extend_from_slice(&results);
-        Ok(())
-    }
-
-    /// The `call_indirect` op body (see [`Instance::call_op`] for why this
-    /// is a never-inlined helper).
-    #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn call_indirect_op(
-        &mut self,
-        code: &ModuleCode,
-        sig: u32,
-        params: u32,
-        table_idx: u32,
-        stack: &mut Vec<Val>,
-        host: &mut dyn Host,
-        depth: usize,
-    ) -> Result<(), Trap> {
-        let target = self
-            .table
-            .as_ref()
-            .expect("validated: table exists")
-            .lookup(table_idx)?;
-        let expected_ty = &code.sigs[sig as usize];
-        if &self.module.functions[target.to_usize()].type_ != expected_ty {
-            return Err(Trap::IndirectCallTypeMismatch);
-        }
-        let at = stack.len() - params as usize;
-        let results = self.call_function(target, &stack[at..], host, depth + 1)?;
+        self.host_calls_slow += 1;
+        let ctx = HostCtx {
+            memory: self.memory.as_mut(),
+            table: self.table.as_mut(),
+            globals: &mut self.globals,
+        };
+        let results = host.call(id, &stack[at..], ctx)?;
         stack.truncate(at);
         stack.extend_from_slice(&results);
         Ok(())
@@ -761,9 +718,8 @@ impl Instance {
     /// Dispatch one host-call intrinsic: the host receives
     /// `stack[at..] ++ consts` and its results replace `stack[at..]`.
     ///
-    /// Never inlined: its temporaries must not enlarge the recursive
-    /// [`Instance::exec_ops`] frame (the call-depth limit is sized for
-    /// 2 MiB threads in debug builds).
+    /// Never inlined: the host boundary's argument marshalling stays out of
+    /// line from the dispatch loop in [`Instance::resume_frames`].
     #[inline(never)]
     fn host_call_fast(
         &mut self,
@@ -855,332 +811,6 @@ impl Instance {
         stack.extend_from_slice(&results);
         Ok(())
     }
-
-    fn run_wasm_function(
-        &mut self,
-        func_idx: Idx<FunctionSpace>,
-        args: &[Val],
-        host: &mut dyn Host,
-        depth: usize,
-    ) -> Result<Vec<Val>, Trap> {
-        // Instructions executed by this frame accumulate in a local and are
-        // flushed exactly once per frame — including on traps — instead of
-        // bumping the shared counter every step.
-        let mut steps = 0u64;
-        let result = self.exec_ops(func_idx, args, host, depth, &mut steps);
-        self.executed_instrs += steps;
-        result
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn exec_ops(
-        &mut self,
-        func_idx: Idx<FunctionSpace>,
-        args: &[Val],
-        host: &mut dyn Host,
-        depth: usize,
-        steps: &mut u64,
-    ) -> Result<Vec<Val>, Trap> {
-        // Keep the code reachable while `self` is mutated during execution.
-        let code = Arc::clone(&self.code);
-        let func = &code.funcs[func_idx.to_usize()];
-        let ops: &[Op] = &func.ops;
-
-        let mut locals: Vec<Val> = Vec::with_capacity(args.len() + func.zeros.len());
-        locals.extend_from_slice(args);
-        locals.extend_from_slice(&func.zeros);
-
-        let mut stack: Vec<Val> = Vec::with_capacity(16);
-        let mut pc = 0usize;
-
-        macro_rules! pop {
-            () => {
-                stack.pop().expect("validated: operand on stack")
-            };
-        }
-        macro_rules! pop_i32 {
-            () => {
-                pop!().as_i32().expect("validated: i32 operand")
-            };
-        }
-        /// Take a resolved branch: either leave the function with the
-        /// carried values, or unwind the value stack and jump.
-        macro_rules! branch_to {
-            ($dest:expr) => {{
-                let dest = $dest;
-                if dest.target == RETURN_TARGET {
-                    return Ok(take_top(stack, dest.keep as usize));
-                }
-                unwind(&mut stack, dest.keep as usize, dest.height as usize);
-                pc = dest.target as usize;
-                continue;
-            }};
-        }
-
-        // Fuel cannot appear mid-run (only `set_fuel` between invocations
-        // installs it), so the common no-fuel case pays one predictable
-        // branch per op instead of an `Option` inspection. The budget
-        // check is hoisted the same way: ungoverned runs see one
-        // never-taken branch, governed runs decrement a countdown and
-        // touch the clock/token only when it hits zero.
-        let fuel_active = self.fuel.is_some();
-        let budget_active = self.budget.is_some();
-
-        loop {
-            let op = &ops[pc];
-            let w = op.weight();
-            *steps += w;
-            if fuel_active {
-                let fuel = self.fuel.as_mut().expect("fuel checked active");
-                if *fuel < w {
-                    // The structured-walk semantics counts every instruction
-                    // it could still afford plus the one that trapped.
-                    *steps = *steps - w + *fuel + 1;
-                    *fuel = 0;
-                    return Err(Trap::OutOfFuel);
-                }
-                *fuel -= w;
-            }
-            if budget_active {
-                self.poll_countdown = self.poll_countdown.saturating_sub(w);
-                if self.poll_countdown == 0 {
-                    self.check_budget()?;
-                }
-            }
-
-            match op {
-                Op::Skip => {}
-                Op::Unreachable => return Err(Trap::Unreachable),
-                Op::Goto(target) => {
-                    pc = *target as usize;
-                    continue;
-                }
-                Op::IfNot(target) => {
-                    if pop_i32!() == 0 {
-                        pc = *target as usize;
-                        continue;
-                    }
-                }
-                Op::Br(dest) => branch_to!(dest),
-                Op::BrIf(dest) => {
-                    if pop_i32!() != 0 {
-                        branch_to!(dest);
-                    }
-                }
-                Op::BrTable(table) => {
-                    let idx = pop_i32!() as u32 as usize;
-                    let dest = table.dests.get(idx).unwrap_or(&table.default);
-                    branch_to!(dest);
-                }
-                Op::Return => return Ok(take_top(stack, func.arity)),
-
-                Op::Call { callee, params } => {
-                    let at = stack.len() - *params as usize;
-                    self.call_op(*callee, &mut stack, at, host, depth)?;
-                }
-                // Host-call intrinsics (see `flat`): the callee's host
-                // identity was resolved at instantiation, the arguments are
-                // passed straight off the operand stack (plus the folded
-                // constant tail from the module const table) — no
-                // interpreter frame, no function-target match. The body
-                // lives in a never-inlined helper so this (recursive)
-                // frame stays small.
-                Op::HostCall { func, argc, retc } => {
-                    if depth + 1 >= self.max_call_depth {
-                        return Err(Trap::CallStackExhausted);
-                    }
-                    let at = stack.len() - *argc as usize;
-                    // No-op mask (direct-emit instrumentation): a hook the
-                    // host declared dead retires here — weight, fuel, and
-                    // the depth check above were already paid, so traps and
-                    // `executed_instrs` are unchanged; only argument
-                    // marshalling and the host boundary are skipped. Hooks
-                    // return no results (`retc == 0`), so popping the
-                    // arguments restores the stack exactly.
-                    if self.host_noop[*func as usize] {
-                        debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
-                        self.host_calls_fast += 1;
-                        stack.truncate(at);
-                    } else {
-                        self.host_call_fast(*func, &mut stack, at, &[], *retc, host)?;
-                    }
-                }
-                Op::HostCallConst {
-                    func,
-                    stack_argc,
-                    retc,
-                    const_at,
-                    const_len,
-                } => {
-                    if depth + 1 >= self.max_call_depth {
-                        return Err(Trap::CallStackExhausted);
-                    }
-                    let at = stack.len() - *stack_argc as usize;
-                    if self.host_noop[*func as usize] {
-                        debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
-                        self.host_calls_fast += 1;
-                        stack.truncate(at);
-                    } else {
-                        let consts =
-                            &code.consts[*const_at as usize..(*const_at + *const_len) as usize];
-                        self.host_call_fast(*func, &mut stack, at, consts, *retc, host)?;
-                    }
-                }
-                Op::HostCallArgs {
-                    func,
-                    stack_argc,
-                    retc,
-                    args_at,
-                    args_len,
-                } => {
-                    if depth + 1 >= self.max_call_depth {
-                        return Err(Trap::CallStackExhausted);
-                    }
-                    let at = stack.len() - *stack_argc as usize;
-                    if self.host_noop[*func as usize] {
-                        debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
-                        self.host_calls_fast += 1;
-                        stack.truncate(at);
-                    } else {
-                        let tpl = &code.args[*args_at as usize..(*args_at + *args_len) as usize];
-                        self.host_call_args(*func, &mut stack, at, tpl, &locals, *retc, host)?;
-                    }
-                }
-                Op::CallIndirect { sig, params } => {
-                    let table_idx = pop_i32!() as u32;
-                    self.call_indirect_op(
-                        &code, *sig, *params, table_idx, &mut stack, host, depth,
-                    )?;
-                }
-
-                Op::Drop => {
-                    pop!();
-                }
-                Op::Select => {
-                    let cond = pop_i32!();
-                    let second = pop!();
-                    let first = pop!();
-                    stack.push(if cond != 0 { first } else { second });
-                }
-
-                Op::LocalGet(idx) => stack.push(locals[*idx as usize]),
-                Op::LocalSet(idx) => locals[*idx as usize] = pop!(),
-                Op::LocalTee(idx) => {
-                    locals[*idx as usize] = *stack.last().expect("validated: operand");
-                }
-                Op::GlobalGet(idx) => stack.push(self.globals[*idx as usize]),
-                Op::GlobalSet(idx) => self.globals[*idx as usize] = pop!(),
-
-                Op::Load { op, offset } => {
-                    let addr = pop_i32!() as u32;
-                    let memory = self.memory.as_ref().expect("validated: memory exists");
-                    stack.push(load_value(memory, *op, addr, *offset)?);
-                }
-                Op::Store { op, offset } => {
-                    let value = pop!();
-                    let addr = pop_i32!() as u32;
-                    let memory = self.memory.as_mut().expect("validated: memory exists");
-                    store_value(memory, *op, addr, *offset, value)?;
-                }
-                Op::MemorySize => {
-                    let memory = self.memory.as_ref().expect("validated: memory exists");
-                    stack.push(Val::I32(memory.size_pages() as i32));
-                }
-                Op::MemoryGrow => {
-                    let delta = pop_i32!() as u32;
-                    if budget_active {
-                        if let Some(cap) = self.budget.as_ref().and_then(Budget::memory_cap) {
-                            let current = self
-                                .memory
-                                .as_ref()
-                                .expect("validated: memory exists")
-                                .size_pages();
-                            if current.saturating_add(delta) > cap {
-                                return Err(Trap::MemoryLimit);
-                            }
-                        }
-                    }
-                    let memory = self.memory.as_mut().expect("validated: memory exists");
-                    stack.push(Val::I32(memory.grow(delta)));
-                }
-
-                Op::Const(val) => stack.push(*val),
-                Op::Unary(op) => {
-                    let v = pop!();
-                    stack.push(numeric::unary(*op, v)?);
-                }
-                Op::Binary(op) => {
-                    let b = pop!();
-                    let a = pop!();
-                    stack.push(numeric::binary(*op, a, b)?);
-                }
-
-                Op::ConstBinary { value, op } => {
-                    let a = pop!();
-                    stack.push(numeric::binary(*op, a, *value)?);
-                }
-                Op::LocalBinary { local, op } => {
-                    let a = pop!();
-                    stack.push(numeric::binary(*op, a, locals[*local as usize])?);
-                }
-                Op::LocalLocalBinary { a, b, op } => {
-                    stack.push(numeric::binary(
-                        *op,
-                        locals[*a as usize],
-                        locals[*b as usize],
-                    )?);
-                }
-                Op::LocalConstBinary { a, value, op } => {
-                    stack.push(numeric::binary(*op, locals[*a as usize], *value)?);
-                }
-                Op::LocalConstBinarySet { a, value, op, dst } => {
-                    locals[*dst as usize] = numeric::binary(*op, locals[*a as usize], *value)?;
-                }
-                Op::CmpBrIf { op, dest } => {
-                    let b = pop!();
-                    let a = pop!();
-                    let taken = numeric::binary(*op, a, b)?
-                        .as_i32()
-                        .expect("comparison yields i32");
-                    if taken != 0 {
-                        branch_to!(dest);
-                    }
-                }
-                Op::LocalConstCmpBrIf { a, value, op, dest } => {
-                    let taken = numeric::binary(*op, locals[*a as usize], *value)?
-                        .as_i32()
-                        .expect("comparison yields i32");
-                    if taken != 0 {
-                        branch_to!(dest);
-                    }
-                }
-                Op::LocalLocalCmpBrIf { a, b, op, dest } => {
-                    let taken = numeric::binary(*op, locals[*a as usize], locals[*b as usize])?
-                        .as_i32()
-                        .expect("comparison yields i32");
-                    if taken != 0 {
-                        branch_to!(dest);
-                    }
-                }
-                Op::AffineAddr { a, c1, b, c2 } => {
-                    stack.push(Val::I32(affine(&locals, *a, *c1, *b, *c2)));
-                }
-                Op::AffineLoad {
-                    a,
-                    c1,
-                    b,
-                    c2,
-                    load,
-                    offset,
-                } => {
-                    let addr = affine(&locals, *a, *c1, *b, *c2) as u32;
-                    let memory = self.memory.as_ref().expect("validated: memory exists");
-                    stack.push(load_value(memory, *load, addr, *offset)?);
-                }
-            }
-            pc += 1;
-        }
-    }
 }
 
 /// What one [`Instance::resume`] round produced.
@@ -1194,32 +824,33 @@ pub enum StepOutcome {
     Done(Vec<Val>),
 }
 
-/// One suspended activation frame of a [`Resumable`]: a function, its
-/// program counter, and the frame-owned locals and operand stack.
-#[derive(Debug)]
+/// One activation frame of a [`Resumable`]: a function, its program
+/// counter, and where its locals and operand stack begin on the stacks all
+/// frames share.
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     func: u32,
     pc: usize,
-    locals: Vec<Val>,
-    stack: Vec<Val>,
+    locals_base: usize,
+    stack_base: usize,
 }
 
 /// A suspended (resumable) invocation of one function, driven in bounded
 /// rounds by [`Instance::resume`].
 ///
-/// Unlike [`Instance::invoke`] — whose WebAssembly frames are recursive
-/// interpreter frames and therefore cannot be suspended — a `Resumable`
-/// keeps its call stack as explicit frames, so execution can stop
-/// after a weight quota and continue later with zero re-execution and
-/// zero double-counting. This is what cohort execution
-/// ([`crate::cohort::CohortRunner`]) interleaves N instances on.
+/// A `Resumable` keeps its call stack as explicit heap frames, so
+/// execution can stop after a weight quota and continue later with zero
+/// re-execution and zero double-counting. Every invocation runs this way:
+/// [`Instance::invoke`] is one round with no quota, and cohort execution
+/// ([`crate::cohort::CohortRunner`]) interleaves N instances in bounded
+/// rounds.
 ///
 /// All observable semantics (results, traps and their order, fuel
 /// accounting including the out-of-fuel adjustment, budget poll cadence,
 /// `executed_instrs`, host-call counters, call-depth limits) are
-/// **bit-identical** to the recursive path; the differential suites
+/// **bit-identical** whatever the quotas; the differential suites
 /// (`tests/cohort_vs_sequential.rs`, the repo-level instrumented oracle)
-/// pin this equivalence on random modules.
+/// pin this equivalence against unbounded `invoke` on random modules.
 ///
 /// A `Resumable` is tied to the [`Instance`] that created it: resuming it
 /// against a different instance is a logic error (frames index that
@@ -1261,11 +892,17 @@ struct Frame {
 /// ```
 #[derive(Debug)]
 pub struct Resumable {
+    /// Suspended frames, innermost last.
     frames: Vec<Frame>,
+    /// The operand stack all frames share.
+    stack: Vec<Val>,
+    /// The locals of all frames, innermost last.
+    locals: Vec<Val>,
     /// `Some` when the invoked function itself is a host import: the call
     /// happens wholesale on the first resume (there is no wasm frame to
-    /// suspend), mirroring [`Instance::call_function`]'s host arm.
-    entry_host: Option<(u32, Vec<Val>)>,
+    /// suspend), with the arguments in `stack`, and counts as one slow
+    /// host call.
+    entry_host: Option<HostFuncId>,
     done: bool,
 }
 
@@ -1306,8 +943,8 @@ impl Instance {
     /// # Errors
     ///
     /// Argument count/type mismatches are a [`Trap::HostError`]; a
-    /// call-depth limit of zero is [`Trap::CallStackExhausted`] (the same
-    /// check the recursive entry performs before its first frame).
+    /// call-depth limit of zero is [`Trap::CallStackExhausted`] (the entry
+    /// frame itself does not fit).
     pub fn begin_resumable(
         &mut self,
         func_idx: Idx<FunctionSpace>,
@@ -1323,9 +960,11 @@ impl Instance {
             return Err(Trap::CallStackExhausted);
         }
         match self.func_targets[func_idx.to_usize()] {
-            FuncTarget::Host(_) => Ok(Resumable {
+            FuncTarget::Host(id) => Ok(Resumable {
                 frames: Vec::new(),
-                entry_host: Some((func_idx.to_usize() as u32, args.to_vec())),
+                stack: args.to_vec(),
+                locals: Vec::new(),
+                entry_host: Some(id),
                 done: false,
             }),
             FuncTarget::Wasm => {
@@ -1337,9 +976,11 @@ impl Instance {
                     frames: vec![Frame {
                         func: func_idx.to_usize() as u32,
                         pc: 0,
-                        locals,
-                        stack: Vec::with_capacity(16),
+                        locals_base: 0,
+                        stack_base: 0,
                     }],
+                    stack: Vec::with_capacity(16),
+                    locals,
                     entry_host: None,
                     done: false,
                 })
@@ -1351,7 +992,7 @@ impl Instance {
     /// weight units, then suspend. Returns [`StepOutcome::Pending`] when
     /// the quota preempted execution, [`StepOutcome::Done`] with the
     /// results when the invoked function returned; traps finish the
-    /// activation exactly like the recursive path.
+    /// activation.
     ///
     /// The quota is checked *before* each op executes, so a preempted
     /// round resumes at the saved program counter with no op executed or
@@ -1371,29 +1012,34 @@ impl Instance {
         host: &mut dyn Host,
         quota: u64,
     ) -> Result<StepOutcome, Trap> {
+        self.run(activation, host, Some(quota.max(1)))
+    }
+
+    /// One round of `activation`: bounded by `quota` weight units when
+    /// `Some` ([`Instance::resume`]), to completion when `None`
+    /// ([`Instance::invoke`]).
+    fn run(
+        &mut self,
+        activation: &mut Resumable,
+        host: &mut dyn Host,
+        quota: Option<u64>,
+    ) -> Result<StepOutcome, Trap> {
         assert!(!activation.done, "resume called on a finished Resumable");
-        if let Some((func, args)) = activation.entry_host.take() {
+        if let Some(id) = activation.entry_host.take() {
             // The invoked function is itself a host import: one slow host
-            // call, no wasm frames (`call_function`'s host arm, depth 0).
+            // call at depth 0, no wasm frames.
             activation.done = true;
-            let FuncTarget::Host(id) = self.func_targets[func as usize] else {
-                unreachable!("entry_host recorded for a wasm target");
-            };
-            self.host_calls_slow += 1;
-            let ctx = HostCtx {
-                memory: self.memory.as_mut(),
-                table: self.table.as_mut(),
-                globals: &mut self.globals,
-            };
-            return host.call(id, &args, ctx).map(StepOutcome::Done);
+            let mut stack = std::mem::take(&mut activation.stack);
+            self.host_call_slow(id, &mut stack, 0, host)?;
+            return Ok(StepOutcome::Done(stack));
         }
+        // Keep the code reachable while `self` is mutated during execution.
         let code = Arc::clone(&self.code);
-        // Like `run_wasm_function`: steps accumulate in a round-local and
-        // flush once — including on traps — so `executed_instrs` equals
-        // the recursive path's sum of per-frame flushes.
+        // Instructions executed by the round accumulate in a local and are
+        // flushed exactly once — including on traps — instead of bumping
+        // the shared counter every step.
         let mut steps = 0u64;
-        let mut remaining = quota.max(1);
-        let result = self.resume_frames(&code, activation, host, &mut steps, &mut remaining);
+        let result = self.resume_frames(&code, activation, host, &mut steps, quota);
         self.executed_instrs += steps;
         if !matches!(result, Ok(StepOutcome::Pending)) {
             activation.done = true;
@@ -1401,14 +1047,16 @@ impl Instance {
         result
     }
 
-    /// The resumable dispatch loop. This deliberately mirrors
-    /// [`Instance::exec_ops`] arm for arm — weight, fuel (including the
-    /// out-of-fuel `steps` adjustment), budget-poll cadence, depth checks,
-    /// and host-call counters must stay bit-identical, and the cohort
-    /// differential suites pin that equality. The only structural
-    /// difference: wasm calls push an explicit [`Frame`] instead of
-    /// recursing, returns pop it, and the weight quota can suspend the
-    /// loop between ops.
+    /// The flat-IR dispatch loop, the only one: [`Instance::invoke`] runs
+    /// it with no quota and [`Instance::resume`] with one. Wasm calls push
+    /// a [`Frame`] and returns pop it, so call depth costs heap, not native
+    /// stack; a quota suspends the loop between ops.
+    ///
+    /// All frames share one operand stack and one locals stack. A call
+    /// moves its arguments off the operand stack into fresh locals on top
+    /// of the locals stack; a return carries its results down to the
+    /// callee's stack base, which is where the caller expects them. Once
+    /// the two stacks have grown, a call allocates nothing.
     #[allow(clippy::too_many_lines)]
     fn resume_frames(
         &mut self,
@@ -1416,26 +1064,41 @@ impl Instance {
         activation: &mut Resumable,
         host: &mut dyn Host,
         steps: &mut u64,
-        remaining: &mut u64,
+        quota: Option<u64>,
     ) -> Result<StepOutcome, Trap> {
+        // Fuel cannot appear mid-run (only `set_fuel` between rounds
+        // installs it), so the common no-fuel case pays one predictable
+        // branch per op instead of an `Option` inspection. The budget and
+        // the quota are hoisted the same way: ungoverned, unbounded runs
+        // see never-taken branches, governed runs decrement a countdown
+        // and touch the clock/token only when it hits zero.
         let fuel_active = self.fuel.is_some();
         let budget_active = self.budget.is_some();
+        let quota_active = quota.is_some();
+        let mut remaining = quota.unwrap_or(0);
+        // The shared stacks are locals of the loop for the round and go
+        // back into the activation when it suspends; a trap finishes the
+        // activation, so they are dropped.
+        let mut stack = std::mem::take(&mut activation.stack);
+        let mut frame_locals = std::mem::take(&mut activation.locals);
 
         'frames: loop {
-            let depth = activation.frames.len() - 1;
-            let frame = activation
+            let frame = *activation
                 .frames
-                .last_mut()
+                .last()
                 .expect("resumable has a live frame");
+            let depth = activation.frames.len() - 1;
             let func = &code.funcs[frame.func as usize];
             let ops: &[Op] = &func.ops;
+            let locals = &mut frame_locals[frame.locals_base..];
+            let mut pc = frame.pc;
 
             'dispatch: loop {
                 // Defined inside the labeled loop so `continue 'dispatch` /
                 // `continue 'frames` resolve (labels are macro-hygienic).
                 macro_rules! pop {
                     () => {
-                        frame.stack.pop().expect("validated: operand on stack")
+                        stack.pop().expect("validated: operand on stack")
                     };
                 }
                 macro_rules! pop_i32 {
@@ -1443,19 +1106,18 @@ impl Instance {
                         pop!().as_i32().expect("validated: i32 operand")
                     };
                 }
-                // Pop the top frame with `keep` results: either finish the
-                // activation or push the results onto the caller's stack.
+                // Pop the top frame with `keep` results, carried down to
+                // its stack base: either finish the activation or resume
+                // the caller.
                 macro_rules! ret {
                     ($keep:expr) => {{
-                        let results = take_top(std::mem::take(&mut frame.stack), $keep);
+                        unwind(&mut stack, $keep, frame.stack_base);
+                        frame_locals.truncate(frame.locals_base);
                         activation.frames.pop();
-                        match activation.frames.last_mut() {
-                            None => return Ok(StepOutcome::Done(results)),
-                            Some(parent) => {
-                                parent.stack.extend_from_slice(&results);
-                                continue 'frames;
-                            }
+                        if activation.frames.is_empty() {
+                            return Ok(StepOutcome::Done(stack));
                         }
+                        continue 'frames;
                     }};
                 }
                 // Take a resolved branch: either leave the function with the
@@ -1466,18 +1128,47 @@ impl Instance {
                         if dest.target == RETURN_TARGET {
                             ret!(dest.keep as usize);
                         }
-                        unwind(&mut frame.stack, dest.keep as usize, dest.height as usize);
-                        frame.pc = dest.target as usize;
+                        let height = frame.stack_base + dest.height as usize;
+                        unwind(&mut stack, dest.keep as usize, height);
+                        pc = dest.target as usize;
                         continue 'dispatch;
                     }};
                 }
-                if *remaining == 0 {
-                    return Ok(StepOutcome::Pending);
+                // Call the wasm function `callee` on the top `params`
+                // operands: push its frame, and resume after the call once
+                // it returns.
+                macro_rules! call_wasm {
+                    ($callee:expr, $params:expr) => {{
+                        let callee: u32 = $callee;
+                        let at = stack.len() - $params as usize;
+                        let locals_base = frame_locals.len();
+                        frame_locals.extend_from_slice(&stack[at..]);
+                        frame_locals.extend_from_slice(&code.funcs[callee as usize].zeros);
+                        stack.truncate(at);
+                        activation.frames.last_mut().expect("caller frame").pc = pc + 1;
+                        activation.frames.push(Frame {
+                            func: callee,
+                            pc: 0,
+                            locals_base,
+                            stack_base: at,
+                        });
+                        continue 'frames;
+                    }};
                 }
-                let op = &ops[frame.pc];
+                let op = &ops[pc];
                 let w = op.weight();
+                if quota_active {
+                    // Checked before the op runs, so a preempted round
+                    // resumes at this pc with nothing executed twice.
+                    if remaining == 0 {
+                        activation.frames.last_mut().expect("live frame").pc = pc;
+                        activation.stack = stack;
+                        activation.locals = frame_locals;
+                        return Ok(StepOutcome::Pending);
+                    }
+                    remaining = remaining.saturating_sub(w);
+                }
                 *steps += w;
-                *remaining = remaining.saturating_sub(w);
                 if fuel_active {
                     let fuel = self.fuel.as_mut().expect("fuel checked active");
                     if *fuel < w {
@@ -1501,12 +1192,12 @@ impl Instance {
                     Op::Skip => {}
                     Op::Unreachable => return Err(Trap::Unreachable),
                     Op::Goto(target) => {
-                        frame.pc = *target as usize;
+                        pc = *target as usize;
                         continue;
                     }
                     Op::IfNot(target) => {
                         if pop_i32!() == 0 {
-                            frame.pc = *target as usize;
+                            pc = *target as usize;
                             continue;
                         }
                     }
@@ -1524,55 +1215,43 @@ impl Instance {
                     Op::Return => ret!(func.arity),
 
                     Op::Call { callee, params } => {
-                        // `call_op` → `call_function(depth + 1)`: the new
-                        // frame's depth is checked before the target match.
+                        // The callee's depth is checked before the target
+                        // match, so host and wasm callees trap alike.
                         if depth + 1 >= self.max_call_depth {
                             return Err(Trap::CallStackExhausted);
                         }
-                        let at = frame.stack.len() - *params as usize;
                         match self.func_targets[*callee as usize] {
                             FuncTarget::Host(id) => {
-                                self.host_calls_slow += 1;
-                                let ctx = HostCtx {
-                                    memory: self.memory.as_mut(),
-                                    table: self.table.as_mut(),
-                                    globals: &mut self.globals,
-                                };
-                                let results = host.call(id, &frame.stack[at..], ctx)?;
-                                frame.stack.truncate(at);
-                                frame.stack.extend_from_slice(&results);
+                                let at = stack.len() - *params as usize;
+                                self.host_call_slow(id, &mut stack, at, host)?;
                             }
-                            FuncTarget::Wasm => {
-                                let callee_func = &code.funcs[*callee as usize];
-                                let mut locals =
-                                    Vec::with_capacity(*params as usize + callee_func.zeros.len());
-                                locals.extend_from_slice(&frame.stack[at..]);
-                                locals.extend_from_slice(&callee_func.zeros);
-                                frame.stack.truncate(at);
-                                // Resume after the call once the callee
-                                // returns (the recursive loop's `pc += 1`).
-                                frame.pc += 1;
-                                activation.frames.push(Frame {
-                                    func: *callee,
-                                    pc: 0,
-                                    locals,
-                                    stack: Vec::with_capacity(16),
-                                });
-                                continue 'frames;
-                            }
+                            FuncTarget::Wasm => call_wasm!(*callee, *params),
                         }
                     }
+                    // Host-call intrinsics (see `flat`): the callee's host
+                    // identity was resolved at instantiation, the arguments
+                    // are passed straight off the operand stack (plus the
+                    // folded constant tail from the module const table) —
+                    // no interpreter frame, no function-target match.
                     Op::HostCall { func, argc, retc } => {
                         if depth + 1 >= self.max_call_depth {
                             return Err(Trap::CallStackExhausted);
                         }
-                        let at = frame.stack.len() - *argc as usize;
+                        let at = stack.len() - *argc as usize;
+                        // No-op mask (direct-emit instrumentation): a hook
+                        // the host declared dead retires here — weight,
+                        // fuel, and the depth check above were already
+                        // paid, so traps and `executed_instrs` are
+                        // unchanged; only argument marshalling and the host
+                        // boundary are skipped. Hooks return no results
+                        // (`retc == 0`), so popping the arguments restores
+                        // the stack exactly.
                         if self.host_noop[*func as usize] {
                             debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
                             self.host_calls_fast += 1;
-                            frame.stack.truncate(at);
+                            stack.truncate(at);
                         } else {
-                            self.host_call_fast(*func, &mut frame.stack, at, &[], *retc, host)?;
+                            self.host_call_fast(*func, &mut stack, at, &[], *retc, host)?;
                         }
                     }
                     Op::HostCallConst {
@@ -1585,15 +1264,15 @@ impl Instance {
                         if depth + 1 >= self.max_call_depth {
                             return Err(Trap::CallStackExhausted);
                         }
-                        let at = frame.stack.len() - *stack_argc as usize;
+                        let at = stack.len() - *stack_argc as usize;
                         if self.host_noop[*func as usize] {
                             debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
                             self.host_calls_fast += 1;
-                            frame.stack.truncate(at);
+                            stack.truncate(at);
                         } else {
                             let consts =
                                 &code.consts[*const_at as usize..(*const_at + *const_len) as usize];
-                            self.host_call_fast(*func, &mut frame.stack, at, consts, *retc, host)?;
+                            self.host_call_fast(*func, &mut stack, at, consts, *retc, host)?;
                         }
                     }
                     Op::HostCallArgs {
@@ -1606,28 +1285,20 @@ impl Instance {
                         if depth + 1 >= self.max_call_depth {
                             return Err(Trap::CallStackExhausted);
                         }
-                        let at = frame.stack.len() - *stack_argc as usize;
+                        let at = stack.len() - *stack_argc as usize;
                         if self.host_noop[*func as usize] {
                             debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
                             self.host_calls_fast += 1;
-                            frame.stack.truncate(at);
+                            stack.truncate(at);
                         } else {
                             let tpl =
                                 &code.args[*args_at as usize..(*args_at + *args_len) as usize];
-                            self.host_call_args(
-                                *func,
-                                &mut frame.stack,
-                                at,
-                                tpl,
-                                &frame.locals,
-                                *retc,
-                                host,
-                            )?;
+                            self.host_call_args(*func, &mut stack, at, tpl, locals, *retc, host)?;
                         }
                     }
                     Op::CallIndirect { sig, params } => {
-                        // `call_indirect_op`: table lookup and signature
-                        // check trap before the depth check.
+                        // Table lookup and signature check trap before the
+                        // depth check.
                         let table_idx = pop_i32!() as u32;
                         let target = self
                             .table
@@ -1641,35 +1312,12 @@ impl Instance {
                         if depth + 1 >= self.max_call_depth {
                             return Err(Trap::CallStackExhausted);
                         }
-                        let at = frame.stack.len() - *params as usize;
                         match self.func_targets[target.to_usize()] {
                             FuncTarget::Host(id) => {
-                                self.host_calls_slow += 1;
-                                let ctx = HostCtx {
-                                    memory: self.memory.as_mut(),
-                                    table: self.table.as_mut(),
-                                    globals: &mut self.globals,
-                                };
-                                let results = host.call(id, &frame.stack[at..], ctx)?;
-                                frame.stack.truncate(at);
-                                frame.stack.extend_from_slice(&results);
+                                let at = stack.len() - *params as usize;
+                                self.host_call_slow(id, &mut stack, at, host)?;
                             }
-                            FuncTarget::Wasm => {
-                                let callee_func = &code.funcs[target.to_usize()];
-                                let mut locals =
-                                    Vec::with_capacity(*params as usize + callee_func.zeros.len());
-                                locals.extend_from_slice(&frame.stack[at..]);
-                                locals.extend_from_slice(&callee_func.zeros);
-                                frame.stack.truncate(at);
-                                frame.pc += 1;
-                                activation.frames.push(Frame {
-                                    func: target.to_usize() as u32,
-                                    pc: 0,
-                                    locals,
-                                    stack: Vec::with_capacity(16),
-                                });
-                                continue 'frames;
-                            }
+                            FuncTarget::Wasm => call_wasm!(target.to_usize() as u32, *params),
                         }
                     }
 
@@ -1680,22 +1328,21 @@ impl Instance {
                         let cond = pop_i32!();
                         let second = pop!();
                         let first = pop!();
-                        frame.stack.push(if cond != 0 { first } else { second });
+                        stack.push(if cond != 0 { first } else { second });
                     }
 
-                    Op::LocalGet(idx) => frame.stack.push(frame.locals[*idx as usize]),
-                    Op::LocalSet(idx) => frame.locals[*idx as usize] = pop!(),
+                    Op::LocalGet(idx) => stack.push(locals[*idx as usize]),
+                    Op::LocalSet(idx) => locals[*idx as usize] = pop!(),
                     Op::LocalTee(idx) => {
-                        frame.locals[*idx as usize] =
-                            *frame.stack.last().expect("validated: operand");
+                        locals[*idx as usize] = *stack.last().expect("validated: operand");
                     }
-                    Op::GlobalGet(idx) => frame.stack.push(self.globals[*idx as usize]),
+                    Op::GlobalGet(idx) => stack.push(self.globals[*idx as usize]),
                     Op::GlobalSet(idx) => self.globals[*idx as usize] = pop!(),
 
                     Op::Load { op, offset } => {
                         let addr = pop_i32!() as u32;
                         let memory = self.memory.as_ref().expect("validated: memory exists");
-                        frame.stack.push(load_value(memory, *op, addr, *offset)?);
+                        stack.push(load_value(memory, *op, addr, *offset)?);
                     }
                     Op::Store { op, offset } => {
                         let value = pop!();
@@ -1705,7 +1352,7 @@ impl Instance {
                     }
                     Op::MemorySize => {
                         let memory = self.memory.as_ref().expect("validated: memory exists");
-                        frame.stack.push(Val::I32(memory.size_pages() as i32));
+                        stack.push(Val::I32(memory.size_pages() as i32));
                     }
                     Op::MemoryGrow => {
                         let delta = pop_i32!() as u32;
@@ -1722,45 +1369,40 @@ impl Instance {
                             }
                         }
                         let memory = self.memory.as_mut().expect("validated: memory exists");
-                        frame.stack.push(Val::I32(memory.grow(delta)));
+                        stack.push(Val::I32(memory.grow(delta)));
                     }
 
-                    Op::Const(val) => frame.stack.push(*val),
+                    Op::Const(val) => stack.push(*val),
                     Op::Unary(op) => {
                         let v = pop!();
-                        frame.stack.push(numeric::unary(*op, v)?);
+                        stack.push(numeric::unary(*op, v)?);
                     }
                     Op::Binary(op) => {
                         let b = pop!();
                         let a = pop!();
-                        frame.stack.push(numeric::binary(*op, a, b)?);
+                        stack.push(numeric::binary(*op, a, b)?);
                     }
 
                     Op::ConstBinary { value, op } => {
                         let a = pop!();
-                        frame.stack.push(numeric::binary(*op, a, *value)?);
+                        stack.push(numeric::binary(*op, a, *value)?);
                     }
                     Op::LocalBinary { local, op } => {
                         let a = pop!();
-                        frame
-                            .stack
-                            .push(numeric::binary(*op, a, frame.locals[*local as usize])?);
+                        stack.push(numeric::binary(*op, a, locals[*local as usize])?);
                     }
                     Op::LocalLocalBinary { a, b, op } => {
-                        frame.stack.push(numeric::binary(
+                        stack.push(numeric::binary(
                             *op,
-                            frame.locals[*a as usize],
-                            frame.locals[*b as usize],
+                            locals[*a as usize],
+                            locals[*b as usize],
                         )?);
                     }
                     Op::LocalConstBinary { a, value, op } => {
-                        frame
-                            .stack
-                            .push(numeric::binary(*op, frame.locals[*a as usize], *value)?);
+                        stack.push(numeric::binary(*op, locals[*a as usize], *value)?);
                     }
                     Op::LocalConstBinarySet { a, value, op, dst } => {
-                        frame.locals[*dst as usize] =
-                            numeric::binary(*op, frame.locals[*a as usize], *value)?;
+                        locals[*dst as usize] = numeric::binary(*op, locals[*a as usize], *value)?;
                     }
                     Op::CmpBrIf { op, dest } => {
                         let b = pop!();
@@ -1773,7 +1415,7 @@ impl Instance {
                         }
                     }
                     Op::LocalConstCmpBrIf { a, value, op, dest } => {
-                        let taken = numeric::binary(*op, frame.locals[*a as usize], *value)?
+                        let taken = numeric::binary(*op, locals[*a as usize], *value)?
                             .as_i32()
                             .expect("comparison yields i32");
                         if taken != 0 {
@@ -1781,21 +1423,15 @@ impl Instance {
                         }
                     }
                     Op::LocalLocalCmpBrIf { a, b, op, dest } => {
-                        let taken = numeric::binary(
-                            *op,
-                            frame.locals[*a as usize],
-                            frame.locals[*b as usize],
-                        )?
-                        .as_i32()
-                        .expect("comparison yields i32");
+                        let taken = numeric::binary(*op, locals[*a as usize], locals[*b as usize])?
+                            .as_i32()
+                            .expect("comparison yields i32");
                         if taken != 0 {
                             branch_to!(dest);
                         }
                     }
                     Op::AffineAddr { a, c1, b, c2 } => {
-                        frame
-                            .stack
-                            .push(Val::I32(affine(&frame.locals, *a, *c1, *b, *c2)));
+                        stack.push(Val::I32(affine(locals, *a, *c1, *b, *c2)));
                     }
                     Op::AffineLoad {
                         a,
@@ -1805,12 +1441,12 @@ impl Instance {
                         load,
                         offset,
                     } => {
-                        let addr = affine(&frame.locals, *a, *c1, *b, *c2) as u32;
+                        let addr = affine(locals, *a, *c1, *b, *c2) as u32;
                         let memory = self.memory.as_ref().expect("validated: memory exists");
-                        frame.stack.push(load_value(memory, *load, addr, *offset)?);
+                        stack.push(load_value(memory, *load, addr, *offset)?);
                     }
                 }
-                frame.pc += 1;
+                pc += 1;
             }
         }
     }
@@ -1823,14 +1459,6 @@ fn affine(locals: &[Val], a: u32, c1: i32, b: u32, c2: i32) -> i32 {
     let av = locals[a as usize].as_i32().expect("validated: i32 local");
     let bv = locals[b as usize].as_i32().expect("validated: i32 local");
     av.wrapping_mul(c1).wrapping_add(bv).wrapping_mul(c2)
-}
-
-/// Return the top `n` values of `stack`, reusing its allocation.
-#[inline]
-fn take_top(mut stack: Vec<Val>, n: usize) -> Vec<Val> {
-    let start = stack.len() - n;
-    stack.drain(..start);
-    stack
 }
 
 /// Unwind for a branch: carry the top `keep` values down to `height`.

@@ -1,8 +1,7 @@
 //! Swarm differential property tests for cohort execution: a
 //! [`CohortRunner`] interleaving N instances of one translated module in
 //! chunked rounds must be **observationally identical** to N standalone
-//! sequential runs of the same inputs through the recursive
-//! `invoke_export` path:
+//! sequential runs of the same inputs through `invoke_export`:
 //!
 //! - same results (or the same trap, including mid-loop div traps,
 //!   out-of-bounds accesses, and `unreachable`),
@@ -16,6 +15,12 @@
 //! members take *different* control-flow paths (different loop trip
 //! counts, some trapping, some not) while sharing one flat IR — the
 //! worst case for cross-member state bleed.
+//!
+//! Both sides run the same interpreter loop — `invoke_export` is one
+//! unbounded round of it — so this suite pins suspension (every
+//! preemption point, chunk size and member interleaving) and per-member
+//! isolation, not the loop's semantics; `flat_vs_reference.rs` checks
+//! those against the independent structured walk.
 
 use proptest::prelude::*;
 
@@ -196,8 +201,8 @@ fn snapshot(result: Result<Vec<Val>, Trap>, instance: &Instance) -> Snapshot {
     )
 }
 
-/// The sequential oracle: a standalone instance driven by the recursive
-/// `invoke_export` path.
+/// The sequential oracle: a standalone instance run to completion by
+/// `invoke_export`, one unbounded round.
 fn run_sequential(
     translated: &TranslatedModule,
     input: i32,

@@ -13,13 +13,19 @@
 //! every control construct the translator resolves (blocks, loops, if/else,
 //! `br_table`, early returns, direct and indirect calls), plus targeted
 //! edge cases: `br_table` corner entries, recursion at exactly
-//! `DEFAULT_MAX_CALL_DEPTH`, superinstruction boundary patterns, and
-//! fuel-trap equality.
+//! `DEFAULT_MAX_CALL_DEPTH`, superinstruction boundary patterns,
+//! fuel-trap equality, and invoking an imported function directly.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use wasabi_vm::host::EmptyHost;
-use wasabi_vm::{Instance, Reference, Trap, DEFAULT_MAX_CALL_DEPTH};
+use wasabi_vm::host::{EmptyHost, HostFunctions};
+use wasabi_vm::{
+    CohortRunner, Instance, Reference, TranslatedModule, Trap, DEFAULT_COHORT_CHUNK,
+    DEFAULT_MAX_CALL_DEPTH,
+};
 use wasabi_wasm::builder::{FunctionBuilder, ModuleBuilder};
 use wasabi_wasm::instr::{BinaryOp, Instr, Val};
 use wasabi_wasm::types::ValType;
@@ -594,6 +600,71 @@ fn recursion_at_exactly_the_depth_limit() {
             assert_eq!(flat_result.unwrap(), vec![Val::I32(depth_arg)]);
         }
     }
+}
+
+/// A host whose `env.init` and `env.id` (identity) imports log each call.
+fn logging_host(log: &Rc<RefCell<Vec<&'static str>>>) -> HostFunctions {
+    let mut host = HostFunctions::new();
+    let init_log = Rc::clone(log);
+    host.register("env", "init", move |_, _| {
+        init_log.borrow_mut().push("init");
+        Ok(vec![])
+    });
+    let id_log = Rc::clone(log);
+    host.register("env", "id", move |args, _| {
+        id_log.borrow_mut().push("id");
+        Ok(args.to_vec())
+    });
+    host
+}
+
+/// The module's start function is the import `env.init`, and it
+/// re-exports the import `env.id`, so invoking either runs no wasm frame:
+/// the host entry of the production loop, the oracle, and cohort members
+/// must all call the host directly, once, through the generic route.
+#[test]
+fn invoking_an_imported_function_directly() {
+    let mut builder = ModuleBuilder::new();
+    let init = builder.import_function("env", "init", &[], &[]);
+    let id = builder.import_function("env", "id", &[ValType::I32], &[ValType::I32]);
+    builder.start(init);
+    let mut module = builder.finish();
+    module.functions[id.to_usize()]
+        .export
+        .push("id".to_string());
+    let translated = TranslatedModule::new(module.clone()).unwrap();
+    let arg = Val::I32(7);
+
+    let check = |path: &str, log: &RefCell<Vec<&str>>, result, counts| {
+        assert_eq!(result, Ok(vec![arg]), "{path}");
+        assert_eq!(
+            counts,
+            (0, 2),
+            "{path}: (fast, slow) host calls, start included"
+        );
+        assert_eq!(*log.borrow(), ["init", "id"], "{path}");
+    };
+
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut host = logging_host(&log);
+    let mut instance = Instance::instantiate_translated(&translated, &mut host).unwrap();
+    let result = instance.invoke_export("id", &[arg], &mut host);
+    check("invoke_export", &log, result, instance.host_call_counts());
+
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut host = logging_host(&log);
+    let mut instance = Instance::instantiate_translated(&translated, &mut host).unwrap();
+    let result = Reference::new(&module).invoke_export(&mut instance, "id", &[arg], &mut host);
+    check("Reference", &log, result, instance.host_call_counts());
+
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut host = logging_host(&log);
+    let mut cohort = CohortRunner::new(DEFAULT_COHORT_CHUNK);
+    cohort.admit(&translated, None, "id", &[arg], &mut host);
+    cohort.run(&mut host);
+    let outcome = cohort.finish().pop().unwrap();
+    let counts = (outcome.host_calls_fast, outcome.host_calls_slow);
+    check("CohortRunner", &log, outcome.result, counts);
 }
 
 #[test]
