@@ -79,6 +79,15 @@ cargo run --release -q -p wasabi-bench --bin parallel -- --smoke --out /tmp/BENC
 echo "==> bench smoke (cohort --smoke)"
 cargo run --release -q -p wasabi-bench --bin cohort -- --smoke --out /tmp/BENCH_cohort_smoke.json >/dev/null
 
+# The paper-artifact bins without a smoke mode run whole: each takes
+# seconds (fig8, the slowest, about 15 s on 2 cores). table5 takes about
+# a minute and stays out.
+echo "==> bench bins (table4, ablation, monomorphization, fig8)"
+for bin in table4 ablation monomorphization fig8; do
+    echo "    running bench bin: $bin"
+    cargo run --release -q -p wasabi-bench --bin "$bin" >/dev/null
+done
+
 # Parallel-build + persistent-cache gate: a disk-warm process start must
 # load prepared sessions at least 2x faster than a cold build (committed
 # AND fresh smoke), and the committed thread-sweep must show >= 1.5x
@@ -473,5 +482,14 @@ echo "    cohort: sweep_args e2e verified"
 # daemon, and check every result against the Reference oracle.
 echo "==> wasabid benchmark smoke"
 python3 wasabid-bench/run.py --smoke
+
+# run.py builds with --offline, not --locked, so a dependency change in a
+# workspace crate would silently rewrite the benchmark's own lock file.
+echo "==> wasabid benchmark lock file unchanged"
+if ! git diff --quiet -- wasabid-bench/Cargo.lock; then
+    git diff -- wasabid-bench/Cargo.lock
+    echo "wasabid-bench/Cargo.lock changed: the benchmark would build other dependencies"
+    exit 1
+fi
 
 echo "ci.sh: all checks passed"

@@ -26,9 +26,6 @@
 //! CI) and `--out <path>`; run them in release mode, e.g.
 //! `cargo run --release -p wasabi-bench --bin fleet`.
 //!
-//! Criterion benches (`cargo bench`) cover the timing-sensitive parts:
-//! `instrumentation_time`, `runtime_overhead`, `vm_baseline`.
-//!
 //! The library part of this crate holds what the binaries share: the
 //! [`FIGURE_HOOK_GROUPS`] x-axis of Figures 8/9, workload construction
 //! ([`subjects`]), and the measurement helpers

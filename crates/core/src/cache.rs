@@ -69,7 +69,6 @@ use crate::diskcache::DiskCache;
 use crate::hooks::HookSet;
 use crate::instrument::Instrumenter;
 use crate::runtime::AnalysisSession;
-use crate::stats;
 
 /// Content-addressed cache key for a wasm binary: a 64-bit FNV-1a hash
 /// over the raw bytes, rendered as `fnv64:<16 hex digits>`.
@@ -240,7 +239,6 @@ impl ModuleCache {
         let mut built = slot.built.lock().unwrap();
         if let Some(session) = &*built {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            stats::record_cache_hit();
             return Ok(CachedSession {
                 session: Arc::clone(session),
                 hit: true,
@@ -256,10 +254,8 @@ impl ModuleCache {
             let loaded = disk.load(key, hooks, module);
             if loaded.is_some() {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                stats::record_disk_cache_hit();
             } else {
                 self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                stats::record_disk_cache_miss();
             }
             loaded
         });
@@ -289,7 +285,6 @@ impl ModuleCache {
 
         *built = Some(Arc::clone(&session));
         self.misses.fetch_add(1, Ordering::Relaxed);
-        stats::record_cache_miss();
         drop(built);
         self.evict_past_capacity(&slot);
         Ok(CachedSession {
@@ -329,7 +324,6 @@ impl ModuleCache {
             };
             entries.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            stats::record_cache_eviction();
         }
     }
 

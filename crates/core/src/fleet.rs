@@ -646,8 +646,6 @@ impl Fleet {
         .expect("fleet worker panicked");
 
         let wall = started.elapsed();
-        stats::record_fleet_jobs(total as u64);
-
         BatchSummary {
             jobs: total,
             wall,

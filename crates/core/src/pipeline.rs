@@ -351,7 +351,6 @@ impl<'a> Pipeline<'a> {
     ///
     /// Returns one [`RunOutcome`] per input, in input order.
     pub fn run_cohort(&mut self, export: &str, inputs: &[Vec<Val>]) -> Vec<RunOutcome> {
-        stats::record_cohort_run(inputs.len() as u64);
         let mut host = WasabiHost::fused(
             self.session.info(),
             self.analyses.as_mut_slice(),

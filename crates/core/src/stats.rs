@@ -1,5 +1,10 @@
 //! Process-wide pass counters.
 //!
+//! A count that a cache, a batch or the daemon keeps lives there
+//! ([`crate::cache::ModuleCache`], [`crate::fleet::BatchSummary`], the
+//! `wasabi-server` daemon's `status`); this module holds process-wide
+//! numbers with no other owner.
+//!
 //! The whole point of the fused pipeline (paper §2.4.2 generalized to many
 //! analyses) is that *N* analyses cost **one** instrumentation pass and
 //! **one** execution pass instead of *N* each. These counters make that
@@ -13,18 +18,6 @@
 //! can print a phase breakdown. The host-call counters are folded in once
 //! per execution pass from the instance's plain (non-atomic) counters —
 //! nothing touches an atomic on the per-call hot path.
-//!
-//! The batch subsystem adds [`cache_hits`]/[`cache_misses`] (lookups
-//! against any [`crate::cache::ModuleCache`]) and [`fleet_jobs`]
-//! (jobs completed by [`crate::fleet::Fleet`] batches), from which bench
-//! harnesses derive jobs/sec.
-//!
-//! The persistent-service subsystem adds [`cache_evictions`] (LRU
-//! evictions from bounded caches) and the daemon counters
-//! [`server_connections`]/[`server_requests`]/[`server_jobs`], recorded
-//! by the `wasabi-server` crate through the public `record_server_*`
-//! functions (they live here so the daemon's `status` response and the
-//! rest of the process share one set of books).
 //!
 //! # Aggregation across build worker threads
 //!
@@ -71,15 +64,6 @@ static INSTRUMENTATION_NANOS: AtomicU64 = AtomicU64::new(0);
 static TRANSLATION_NANOS: AtomicU64 = AtomicU64::new(0);
 static FUSED_BUILD_NANOS: AtomicU64 = AtomicU64::new(0);
 static BUILD_WORKER_NANOS: AtomicU64 = AtomicU64::new(0);
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static DISK_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static DISK_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static FLEET_JOBS: AtomicU64 = AtomicU64::new(0);
-static SERVER_CONNECTIONS: AtomicU64 = AtomicU64::new(0);
-static SERVER_REQUESTS: AtomicU64 = AtomicU64::new(0);
-static SERVER_JOBS: AtomicU64 = AtomicU64::new(0);
 static DISK_CACHE_WRITE_ERRORS: AtomicU64 = AtomicU64::new(0);
 static JOB_TIMEOUTS: AtomicU64 = AtomicU64::new(0);
 static JOB_CANCELLATIONS: AtomicU64 = AtomicU64::new(0);
@@ -87,8 +71,6 @@ static JOB_RETRIES: AtomicU64 = AtomicU64::new(0);
 static SERVER_SHEDS: AtomicU64 = AtomicU64::new(0);
 static CLIENT_RECONNECTS: AtomicU64 = AtomicU64::new(0);
 static FAULTS_INJECTED: AtomicU64 = AtomicU64::new(0);
-static COHORT_RUNS: AtomicU64 = AtomicU64::new(0);
-static COHORT_INSTANCES: AtomicU64 = AtomicU64::new(0);
 
 /// Total number of instrumentation passes ([`mod@crate::instrument`] /
 /// [`crate::Instrumenter::run`]) this process has performed.
@@ -115,18 +97,6 @@ pub fn host_calls_fast() -> u64 {
 /// or the `Reference` oracle), summed like [`host_calls_fast`].
 pub fn host_calls_slow() -> u64 {
     HOST_CALLS_SLOW.load(Ordering::Relaxed)
-}
-
-/// Cohort sweeps executed via `Pipeline::run_cohort` (each sweep is one
-/// instrumentation + translation + host-plan build amortized over all of
-/// its member instances).
-pub fn cohort_runs() -> u64 {
-    COHORT_RUNS.load(Ordering::Relaxed)
-}
-
-/// Total member instances admitted across all cohort sweeps.
-pub fn cohort_instances() -> u64 {
-    COHORT_INSTANCES.load(Ordering::Relaxed)
 }
 
 /// Total wall time spent in instrumentation passes.
@@ -158,58 +128,6 @@ pub fn fused_build_time() -> Duration {
 /// approximates the effective parallelism of a build.
 pub fn build_worker_time() -> Duration {
     Duration::from_nanos(BUILD_WORKER_NANOS.load(Ordering::Relaxed))
-}
-
-/// [`crate::cache::ModuleCache`] lookups that found an existing entry,
-/// summed over every cache in the process.
-pub fn cache_hits() -> u64 {
-    CACHE_HITS.load(Ordering::Relaxed)
-}
-
-/// [`crate::cache::ModuleCache`] lookups that built (instrumented +
-/// translated) a new entry, summed over every cache in the process.
-pub fn cache_misses() -> u64 {
-    CACHE_MISSES.load(Ordering::Relaxed)
-}
-
-/// On-disk prepared-session cache lookups that loaded a valid entry
-/// (no rebuild needed), summed over every disk cache in the process.
-pub fn disk_cache_hits() -> u64 {
-    DISK_CACHE_HITS.load(Ordering::Relaxed)
-}
-
-/// On-disk prepared-session cache lookups that found no usable entry
-/// (absent, corrupt, stale format, or mismatched hook set) and fell back
-/// to a clean rebuild, summed over every disk cache in the process.
-pub fn disk_cache_misses() -> u64 {
-    DISK_CACHE_MISSES.load(Ordering::Relaxed)
-}
-
-/// Entries dropped from bounded [`crate::cache::ModuleCache`]s by LRU
-/// eviction, summed over every cache in the process.
-pub fn cache_evictions() -> u64 {
-    CACHE_EVICTIONS.load(Ordering::Relaxed)
-}
-
-/// Jobs completed by [`crate::fleet::Fleet`] batches in this process.
-pub fn fleet_jobs() -> u64 {
-    FLEET_JOBS.load(Ordering::Relaxed)
-}
-
-/// Client connections the `wasabi-server` daemon has accepted.
-pub fn server_connections() -> u64 {
-    SERVER_CONNECTIONS.load(Ordering::Relaxed)
-}
-
-/// Protocol request frames the daemon has dispatched (well-formed or
-/// not: a malformed frame that produced an error response still counts).
-pub fn server_requests() -> u64 {
-    SERVER_REQUESTS.load(Ordering::Relaxed)
-}
-
-/// Analysis jobs the daemon has completed (streamed a result frame for).
-pub fn server_jobs() -> u64 {
-    SERVER_JOBS.load(Ordering::Relaxed)
 }
 
 /// [`crate::diskcache::DiskCache`] store attempts that failed (create,
@@ -263,48 +181,12 @@ pub fn record_client_reconnect() {
     CLIENT_RECONNECTS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Record an accepted daemon connection (called by `wasabi-server`).
-pub fn record_server_connection() {
-    SERVER_CONNECTIONS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record a dispatched daemon request frame (called by `wasabi-server`).
-pub fn record_server_request() {
-    SERVER_REQUESTS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record `jobs` completed daemon jobs (called by `wasabi-server`).
-pub fn record_server_jobs(jobs: u64) {
-    SERVER_JOBS.fetch_add(jobs, Ordering::Relaxed);
-}
-
-pub(crate) fn record_cache_hit() {
-    CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn record_cache_miss() {
-    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn record_cache_eviction() {
-    CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn record_fleet_jobs(jobs: u64) {
-    FLEET_JOBS.fetch_add(jobs, Ordering::Relaxed);
-}
-
 pub(crate) fn record_instrumentation() {
     INSTRUMENTATION_PASSES.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn record_execution() {
     EXECUTION_PASSES.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn record_cohort_run(instances: u64) {
-    COHORT_RUNS.fetch_add(1, Ordering::Relaxed);
-    COHORT_INSTANCES.fetch_add(instances, Ordering::Relaxed);
 }
 
 pub(crate) fn record_host_calls(fast: u64, slow: u64) {
@@ -330,14 +212,6 @@ pub(crate) fn record_fused_build_time(elapsed: Duration) {
 
 pub(crate) fn record_build_worker_time(elapsed: Duration) {
     BUILD_WORKER_NANOS.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-}
-
-pub(crate) fn record_disk_cache_hit() {
-    DISK_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn record_disk_cache_miss() {
-    DISK_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn record_disk_cache_write_error() {
@@ -382,32 +256,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_counters_are_monotonic() {
-        let before = cache_hits();
-        record_cache_hit();
-        assert!(cache_hits() >= before + 1);
-        let before = cache_misses();
-        record_cache_miss();
-        assert!(cache_misses() >= before + 1);
-        let before = fleet_jobs();
-        record_fleet_jobs(3);
-        assert!(fleet_jobs() >= before + 3);
-        let before = cache_evictions();
-        record_cache_eviction();
-        assert!(cache_evictions() >= before + 1);
-    }
-
-    #[test]
     fn parallel_build_counters_are_monotonic() {
         let before = build_worker_time();
         record_build_worker_time(Duration::from_millis(2));
         assert!(build_worker_time() >= before + Duration::from_millis(2));
-        let before = disk_cache_hits();
-        record_disk_cache_hit();
-        assert!(disk_cache_hits() >= before + 1);
-        let before = disk_cache_misses();
-        record_disk_cache_miss();
-        assert!(disk_cache_misses() >= before + 1);
     }
 
     #[test]
@@ -433,18 +285,5 @@ mod tests {
         let before = faults_injected();
         record_fault_injected();
         assert!(faults_injected() >= before + 1);
-    }
-
-    #[test]
-    fn server_counters_are_monotonic() {
-        let before = server_connections();
-        record_server_connection();
-        assert!(server_connections() >= before + 1);
-        let before = server_requests();
-        record_server_request();
-        assert!(server_requests() >= before + 1);
-        let before = server_jobs();
-        record_server_jobs(5);
-        assert!(server_jobs() >= before + 5);
     }
 }

@@ -21,6 +21,8 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use wasabi::report::JsonValue;
+
 use crate::protocol::{
     read_frame, write_frame, ErrorCode, FrameError, JobResult, JobSpec, Request, Response,
 };
@@ -289,12 +291,13 @@ impl Client {
         }
     }
 
-    /// Ask for the daemon's status counters.
+    /// Ask for the daemon's status counters: the object the daemon sent
+    /// ([`Response::Status`]), read by name, e.g. `status.get("jobs_done")`.
     ///
     /// # Errors
     ///
     /// Transport failures or an unexpected response shape.
-    pub fn status(&mut self) -> Result<crate::protocol::StatusReply, ClientError> {
+    pub fn status(&mut self) -> Result<JsonValue, ClientError> {
         match self.roundtrip(&Request::Status)? {
             Response::Status(status) => Ok(status),
             Response::Error { code, message } => Err(ClientError::Daemon { code, message }),

@@ -48,7 +48,7 @@ use wasabi_wasm::instr::Val;
 
 use crate::protocol::{
     export_params, typed_args, write_frame, ErrorCode, FrameError, FrameReader, JobResult, Request,
-    RequestError, Response, StatusReply,
+    RequestError, Response,
 };
 use crate::store::ContentStore;
 
@@ -214,30 +214,34 @@ impl Shared {
         }
     }
 
-    fn status(&self) -> StatusReply {
-        StatusReply {
-            state: self.lifecycle().as_str().to_string(),
-            uploads: self.store.uploads(),
-            dedup_hits: self.store.dedup_hits(),
-            modules: self.store.len() as u64,
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_entries: self.cache.len() as u64,
-            cache_evictions: self.cache.evictions(),
-            disk_cache_hits: self.cache.disk_hits(),
-            disk_cache_misses: self.cache.disk_misses(),
-            build_ms: stats::fused_build_time().as_secs_f64() * 1e3,
-            build_worker_ms: stats::build_worker_time().as_secs_f64() * 1e3,
-            jobs_done: self.jobs_done.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            timeouts: stats::job_timeouts(),
-            cancellations: stats::job_cancellations(),
-            retries: stats::job_retries(),
-            sheds: stats::server_sheds(),
-            faults_injected: stats::faults_injected(),
-        }
+    /// The `status` reply, in wire order. [`Response::Status`] says which
+    /// counters are this daemon's own and which are process-wide.
+    fn status(&self) -> JsonValue {
+        let count = |counter: &AtomicU64| JsonValue::from(counter.load(Ordering::Relaxed));
+        let ms = |time: Duration| JsonValue::from(time.as_secs_f64() * 1e3);
+        JsonValue::object([
+            ("state", JsonValue::from(self.lifecycle().as_str())),
+            ("uploads", self.store.uploads().into()),
+            ("dedup_hits", self.store.dedup_hits().into()),
+            ("modules", self.store.len().into()),
+            ("cache_hits", self.cache.hits().into()),
+            ("cache_misses", self.cache.misses().into()),
+            ("cache_entries", self.cache.len().into()),
+            ("cache_evictions", self.cache.evictions().into()),
+            ("disk_cache_hits", self.cache.disk_hits().into()),
+            ("disk_cache_misses", self.cache.disk_misses().into()),
+            ("build_ms", ms(stats::fused_build_time())),
+            ("build_worker_ms", ms(stats::build_worker_time())),
+            ("jobs_done", count(&self.jobs_done)),
+            ("in_flight", count(&self.in_flight)),
+            ("connections", count(&self.connections)),
+            ("requests", count(&self.requests)),
+            ("timeouts", stats::job_timeouts().into()),
+            ("cancellations", stats::job_cancellations().into()),
+            ("retries", stats::job_retries().into()),
+            ("sheds", stats::server_sheds().into()),
+            ("faults_injected", stats::faults_injected().into()),
+        ])
     }
 }
 
@@ -403,10 +407,14 @@ impl Server {
     /// Fatal accept-loop transport errors (per-connection errors only end
     /// that connection).
     pub fn serve(self) -> io::Result<()> {
-        let mut handlers = Vec::new();
+        let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
         while self.shared.lifecycle() == Lifecycle::Accepting {
             match self.listener.accept() {
                 Ok(conn) => {
+                    // Drop the handles of finished handlers: an exited
+                    // thread keeps its stack mapped until its handle is
+                    // joined or dropped.
+                    handlers.retain(|handler| !handler.is_finished());
                     let shared = Arc::clone(&self.shared);
                     handlers.push(thread::spawn(move || handle_connection(&shared, conn)));
                 }
@@ -441,7 +449,6 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
         return;
     }
     shared.connections.fetch_add(1, Ordering::Relaxed);
-    stats::record_server_connection();
 
     let mut frames = FrameReader::new();
     loop {
@@ -453,7 +460,6 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
             }
             Ok(Some(value)) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                stats::record_server_request();
                 if dispatch(shared, &mut conn, &value).is_err() {
                     break;
                 }
@@ -462,7 +468,6 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
             // connection lives on: the framing layer is still aligned.
             Err(FrameError::Malformed(message)) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                stats::record_server_request();
                 if respond_error(&mut conn, ErrorCode::MalformedFrame, &message).is_err() {
                     break;
                 }
@@ -471,7 +476,6 @@ fn handle_connection(shared: &Shared, mut conn: Conn) {
             // lie; answer, then close.
             Err(FrameError::TooLarge(len)) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                stats::record_server_request();
                 let _ = respond_error(
                     &mut conn,
                     ErrorCode::FrameTooLarge,
@@ -716,7 +720,6 @@ fn handle_submit(
     let summary = fleet.run_streaming(|mut outcome| {
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         shared.jobs_done.fetch_add(1, Ordering::Relaxed);
-        stats::record_server_jobs(1);
         if write_error.is_some() {
             return;
         }

@@ -40,6 +40,6 @@ pub use client::{Client, ClientError, DoneSummary, ResultStream};
 pub use daemon::{Lifecycle, Server, ServerConfig};
 pub use protocol::{
     read_frame, write_frame, ErrorCode, FrameError, FrameReader, JobResult, JobSpec, Request,
-    Response, StatusReply, MAX_FRAME,
+    Response, MAX_FRAME,
 };
 pub use store::{ContentStore, UploadReceipt};

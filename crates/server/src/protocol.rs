@@ -587,57 +587,6 @@ impl ErrorCode {
     }
 }
 
-/// Daemon-side counters in a `status` response.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatusReply {
-    /// Lifecycle state name: `accepting`, `draining`, or `stopped`.
-    pub state: String,
-    /// Total `upload` requests handled.
-    pub uploads: u64,
-    /// Uploads whose bytes were already stored (content-addressed dedup).
-    pub dedup_hits: u64,
-    /// Distinct modules in the content store.
-    pub modules: u64,
-    /// Prepared-session cache hits.
-    pub cache_hits: u64,
-    /// Prepared-session cache misses (builds).
-    pub cache_misses: u64,
-    /// Prepared-session cache entries resident now.
-    pub cache_entries: u64,
-    /// LRU evictions from the bounded session cache.
-    pub cache_evictions: u64,
-    /// Memory-tier misses served from the on-disk session cache (no
-    /// rebuild). Zero when the daemon runs without `--disk-cache`.
-    pub disk_cache_hits: u64,
-    /// Memory-tier misses that also missed the disk tier and rebuilt.
-    /// Zero when the daemon runs without `--disk-cache`.
-    pub disk_cache_misses: u64,
-    /// Total fused instrument+translate build wall time, milliseconds
-    /// (coordinator clock, summed over all builds this process did).
-    pub build_ms: f64,
-    /// Summed busy time of all build worker threads, milliseconds.
-    /// `build_worker_ms / build_ms` approximates effective parallelism.
-    pub build_worker_ms: f64,
-    /// Jobs whose result frame has been streamed.
-    pub jobs_done: u64,
-    /// Jobs admitted but not yet streamed.
-    pub in_flight: u64,
-    /// Connections accepted over the daemon's lifetime.
-    pub connections: u64,
-    /// Request frames dispatched over the daemon's lifetime.
-    pub requests: u64,
-    /// Jobs that exceeded their deadline (process-wide).
-    pub timeouts: u64,
-    /// Jobs cancelled via their cancel token (process-wide).
-    pub cancellations: u64,
-    /// Transient-failure retry attempts (process-wide).
-    pub retries: u64,
-    /// Batches load-shed to admit newer work (process-wide).
-    pub sheds: u64,
-    /// Faults injected by the failpoint registry (0 outside chaos runs).
-    pub faults_injected: u64,
-}
-
 /// One streamed per-job result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobResult {
@@ -684,8 +633,12 @@ pub enum Response {
         /// Jobs that built a session.
         cache_misses: u64,
     },
-    /// Reply to `status`.
-    Status(StatusReply),
+    /// Reply to `status`: the daemon's named counters, passed on as sent.
+    /// Store, cache, job, connection and request counts are the daemon's
+    /// own; `build_ms`, `build_worker_ms`, `timeouts`, `cancellations`,
+    /// `retries`, `sheds` and `faults_injected` are process-wide
+    /// [`wasabi::stats`], which in-process tests read as before/after deltas.
+    Status(JsonValue),
     /// Reply to `cancel`: how many in-flight jobs had their token fired.
     Cancelled {
         /// Jobs whose cancel token this request fired.
@@ -764,30 +717,13 @@ impl Response {
                 ("cache_hits", JsonValue::from(*cache_hits)),
                 ("cache_misses", JsonValue::from(*cache_misses)),
             ]),
-            Response::Status(s) => JsonValue::object([
-                ("type", JsonValue::from("status")),
-                ("state", JsonValue::from(s.state.clone())),
-                ("uploads", JsonValue::from(s.uploads)),
-                ("dedup_hits", JsonValue::from(s.dedup_hits)),
-                ("modules", JsonValue::from(s.modules)),
-                ("cache_hits", JsonValue::from(s.cache_hits)),
-                ("cache_misses", JsonValue::from(s.cache_misses)),
-                ("cache_entries", JsonValue::from(s.cache_entries)),
-                ("cache_evictions", JsonValue::from(s.cache_evictions)),
-                ("disk_cache_hits", JsonValue::from(s.disk_cache_hits)),
-                ("disk_cache_misses", JsonValue::from(s.disk_cache_misses)),
-                ("build_ms", JsonValue::from(s.build_ms)),
-                ("build_worker_ms", JsonValue::from(s.build_worker_ms)),
-                ("jobs_done", JsonValue::from(s.jobs_done)),
-                ("in_flight", JsonValue::from(s.in_flight)),
-                ("connections", JsonValue::from(s.connections)),
-                ("requests", JsonValue::from(s.requests)),
-                ("timeouts", JsonValue::from(s.timeouts)),
-                ("cancellations", JsonValue::from(s.cancellations)),
-                ("retries", JsonValue::from(s.retries)),
-                ("sheds", JsonValue::from(s.sheds)),
-                ("faults_injected", JsonValue::from(s.faults_injected)),
-            ]),
+            Response::Status(counters) => {
+                let mut frame = vec![("type".to_string(), JsonValue::from("status"))];
+                if let JsonValue::Object(members) = counters {
+                    frame.extend(members.iter().cloned());
+                }
+                JsonValue::Object(frame)
+            }
             Response::Cancelled { jobs } => JsonValue::object([
                 ("type", JsonValue::from("cancelled")),
                 ("jobs", JsonValue::from(*jobs)),
@@ -903,35 +839,15 @@ impl Response {
                 cache_hits: u64_member("cache_hits")?,
                 cache_misses: u64_member("cache_misses")?,
             }),
-            "status" => Ok(Response::Status(StatusReply {
-                state: str_member("state")?,
-                uploads: u64_member("uploads")?,
-                dedup_hits: u64_member("dedup_hits")?,
-                modules: u64_member("modules")?,
-                cache_hits: u64_member("cache_hits")?,
-                cache_misses: u64_member("cache_misses")?,
-                cache_entries: u64_member("cache_entries")?,
-                cache_evictions: u64_member("cache_evictions")?,
-                disk_cache_hits: u64_member("disk_cache_hits")?,
-                disk_cache_misses: u64_member("disk_cache_misses")?,
-                build_ms: value
-                    .get("build_ms")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or("status response has no numeric \"build_ms\"")?,
-                build_worker_ms: value
-                    .get("build_worker_ms")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or("status response has no numeric \"build_worker_ms\"")?,
-                jobs_done: u64_member("jobs_done")?,
-                in_flight: u64_member("in_flight")?,
-                connections: u64_member("connections")?,
-                requests: u64_member("requests")?,
-                timeouts: u64_member("timeouts")?,
-                cancellations: u64_member("cancellations")?,
-                retries: u64_member("retries")?,
-                sheds: u64_member("sheds")?,
-                faults_injected: u64_member("faults_injected")?,
-            })),
+            "status" => {
+                // Every member but `type`, unchecked: a client accepts a
+                // status with counters it does not know or lacks some.
+                let mut counters = value.clone();
+                if let JsonValue::Object(members) = &mut counters {
+                    members.retain(|(name, _)| name != "type");
+                }
+                Ok(Response::Status(counters))
+            }
             "cancelled" => Ok(Response::Cancelled {
                 jobs: u64_member("jobs")?,
             }),
@@ -1020,6 +936,16 @@ pub fn typed_args(raw: &[JsonValue], params: &[ValType]) -> Result<Vec<Val>, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `status` frame with all 21 counters, as the daemon emits it.
+    const STATUS_FRAME: &str = concat!(
+        r#"{"type":"status","state":"accepting","uploads":2,"dedup_hits":1,"modules":1,"#,
+        r#""cache_hits":4,"cache_misses":2,"cache_entries":2,"cache_evictions":0,"#,
+        r#""disk_cache_hits":1,"disk_cache_misses":1,"build_ms":40.5,"#,
+        r#""build_worker_ms":120.25,"jobs_done":6,"in_flight":1,"connections":2,"#,
+        r#""requests":9,"timeouts":1,"cancellations":2,"retries":3,"sheds":1,"#,
+        r#""faults_injected":0}"#,
+    );
 
     #[test]
     fn frames_round_trip_through_a_byte_pipe() {
@@ -1212,29 +1138,7 @@ mod tests {
                 cache_hits: 2,
                 cache_misses: 1,
             },
-            Response::Status(StatusReply {
-                state: "accepting".to_string(),
-                uploads: 2,
-                dedup_hits: 1,
-                modules: 1,
-                cache_hits: 4,
-                cache_misses: 2,
-                cache_entries: 2,
-                cache_evictions: 0,
-                disk_cache_hits: 1,
-                disk_cache_misses: 1,
-                build_ms: 40.5,
-                build_worker_ms: 120.25,
-                jobs_done: 6,
-                in_flight: 1,
-                connections: 2,
-                requests: 9,
-                timeouts: 1,
-                cancellations: 2,
-                retries: 3,
-                sheds: 1,
-                faults_injected: 0,
-            }),
+            Response::from_json(&json::parse(STATUS_FRAME).expect("parses")).expect("decodes"),
             Response::Cancelled { jobs: 4 },
             Response::Draining { in_flight: 2 },
             Response::ShuttingDown,
@@ -1246,6 +1150,18 @@ mod tests {
             let round = Response::from_json(&response.to_json()).expect("parses");
             assert_eq!(round, response);
         }
+    }
+
+    #[test]
+    fn status_decode_keeps_unknown_counters_and_tolerates_missing_ones() {
+        // A daemon with one counter this client does not know and without
+        // `sheds`: the client takes its status as it is, in order.
+        let frame = STATUS_FRAME
+            .replace(r#""sheds":1,"#, "")
+            .replace('}', r#","spans_open":2}"#);
+        let status = Response::from_json(&json::parse(&frame).expect("parses"))
+            .expect("a status without `sheds` decodes");
+        assert_eq!(json::emit(&status.to_json()), frame);
     }
 
     #[test]

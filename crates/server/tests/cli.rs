@@ -539,7 +539,8 @@ fn retryable_daemon_refusals_exit_nonzero_with_a_retryable_line() {
         let _ = stream.by_ref().count();
     });
     let mut op = Client::connect_unix(&path).expect("connects");
-    while op.status().expect("status").in_flight < 1 {
+    let in_flight = |status: wasabi::report::JsonValue| status.get("in_flight")?.as_i64();
+    while in_flight(op.status().expect("status")) < Some(1) {
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     let output = cli()

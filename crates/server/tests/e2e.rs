@@ -19,11 +19,20 @@ use std::time::{Duration, Instant};
 
 use wasabi::event::{AnalysisCtx, BinaryEvt};
 use wasabi::hooks::{Analysis, Hook, HookSet};
+use wasabi::report::JsonValue;
 use wasabi_analyses::registry;
 use wasabi_server::{Client, ErrorCode, JobSpec, Response, Server, ServerConfig};
 use wasabi_wasm::builder::ModuleBuilder;
 use wasabi_wasm::encode::encode;
 use wasabi_wasm::ValType;
+
+/// One counter of a `status` reply, by name.
+fn counter(status: &JsonValue, name: &str) -> i64 {
+    status
+        .get(name)
+        .and_then(JsonValue::as_i64)
+        .unwrap_or_else(|| panic!("status has no integer {name:?}: {status}"))
+}
 
 /// A module whose `main` executes one binary instruction and returns 6.
 fn test_wasm() -> Vec<u8> {
@@ -167,14 +176,21 @@ fn second_client_pays_neither_upload_nor_build() {
 
     // The status counters tell the same story daemon-wide.
     let status = second.status().expect("status");
-    assert_eq!(status.state, "accepting");
-    assert_eq!(status.uploads, 2);
-    assert_eq!(status.dedup_hits, 1);
-    assert_eq!(status.modules, 1);
-    assert_eq!(status.cache_misses, 1, "one build across both clients");
-    assert_eq!(status.cache_hits, 5);
-    assert_eq!(status.jobs_done, 6);
-    assert_eq!(status.in_flight, 0);
+    assert_eq!(
+        status.get("state").and_then(JsonValue::as_str),
+        Some("accepting")
+    );
+    assert_eq!(counter(&status, "uploads"), 2);
+    assert_eq!(counter(&status, "dedup_hits"), 1);
+    assert_eq!(counter(&status, "modules"), 1);
+    assert_eq!(
+        counter(&status, "cache_misses"),
+        1,
+        "one build across both clients"
+    );
+    assert_eq!(counter(&status, "cache_hits"), 5);
+    assert_eq!(counter(&status, "jobs_done"), 6);
+    assert_eq!(counter(&status, "in_flight"), 0);
 
     // Drain; the daemon has nothing in flight and exits cleanly.
     assert_eq!(second.drain().expect("drains"), 0);
@@ -250,8 +266,12 @@ fn results_stream_before_the_batch_completes_and_drain_refuses_new_work() {
     // A second connection observes the in-flight job through `status`...
     let mut observer = Client::connect_unix(&path).expect("connects");
     let status = observer.status().expect("status");
-    assert_eq!(status.in_flight, 1, "job 2 is still executing");
-    assert_eq!(status.jobs_done, 2, "jobs 0 and 1 already streamed");
+    assert_eq!(counter(&status, "in_flight"), 1, "job 2 is still executing");
+    assert_eq!(
+        counter(&status, "jobs_done"),
+        2,
+        "jobs 0 and 1 already streamed"
+    );
 
     // ...and a drain during in-flight work: acknowledged with the count,
     // new work refused with a structured error, status still answered.
@@ -267,7 +287,14 @@ fn results_stream_before_the_batch_completes_and_drain_refuses_new_work() {
         Some(Err(e)) => assert!(e.to_string().contains(ErrorCode::Draining.as_str()), "{e}"),
         other => panic!("submit must be refused while draining, got {other:?}"),
     }
-    assert_eq!(observer.status().expect("status").state, "draining");
+    assert_eq!(
+        observer
+            .status()
+            .expect("status")
+            .get("state")
+            .and_then(JsonValue::as_str),
+        Some("draining")
+    );
 
     // Release the gate: job 2 finishes, streams, and the daemon drains.
     RELEASE.store(true, Ordering::SeqCst);
@@ -303,8 +330,16 @@ fn admission_control_refuses_oversized_submits_whole() {
     }
     drop(refused);
     let status = client.status().expect("status");
-    assert_eq!(status.jobs_done, 0, "refused submit ran nothing");
-    assert_eq!(status.in_flight, 0, "reservation was rolled back");
+    assert_eq!(
+        counter(&status, "jobs_done"),
+        0,
+        "refused submit ran nothing"
+    );
+    assert_eq!(
+        counter(&status, "in_flight"),
+        0,
+        "reservation was rolled back"
+    );
 
     // A submit within the bound still works afterwards.
     let mut stream = client
@@ -371,6 +406,41 @@ fn raw_protocol_round_trip_matches_typed_client() {
     assert_eq!(result.reports[0].analysis, "call_graph");
     let done = Response::from_json(&read_frame(&mut conn).expect("frame")).expect("typed");
     assert!(matches!(done, Response::Done { jobs: 1, .. }), "{done:?}");
+
+    // The status reply is what `wasabi-client status` prints and scripts
+    // read by name: pin its member names and their order.
+    write_frame(&mut conn, &Request::Status.to_json()).expect("writes");
+    let JsonValue::Object(status) = read_frame(&mut conn).expect("frame") else {
+        panic!("a status frame is a JSON object");
+    };
+    let names: Vec<&str> = status.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "type",
+            "state",
+            "uploads",
+            "dedup_hits",
+            "modules",
+            "cache_hits",
+            "cache_misses",
+            "cache_entries",
+            "cache_evictions",
+            "disk_cache_hits",
+            "disk_cache_misses",
+            "build_ms",
+            "build_worker_ms",
+            "jobs_done",
+            "in_flight",
+            "connections",
+            "requests",
+            "timeouts",
+            "cancellations",
+            "retries",
+            "sheds",
+            "faults_injected",
+        ]
+    );
 
     write_frame(&mut conn, &Request::Shutdown.to_json()).expect("writes");
     conn.flush().expect("flushes");

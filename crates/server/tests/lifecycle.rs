@@ -6,11 +6,20 @@
 
 use std::time::{Duration, Instant};
 
+use wasabi::report::JsonValue;
 use wasabi_analyses::registry;
 use wasabi_server::{Client, ClientError, JobSpec, Server, ServerConfig};
 use wasabi_wasm::builder::ModuleBuilder;
 use wasabi_wasm::encode::encode;
 use wasabi_wasm::ValType;
+
+/// One counter of a `status` reply, by name.
+fn counter(status: &JsonValue, name: &str) -> i64 {
+    status
+        .get(name)
+        .and_then(JsonValue::as_i64)
+        .unwrap_or_else(|| panic!("status has no integer {name:?}: {status}"))
+}
 
 fn square_wasm() -> Vec<u8> {
     let mut builder = ModuleBuilder::new();
@@ -38,7 +47,7 @@ fn spec(hash: &str, arg: i32) -> JobSpec {
         hash: hash.to_string(),
         analyses: vec![],
         invoke: "main".to_string(),
-        args: vec![wasabi::report::JsonValue::Int(arg.into())],
+        args: vec![JsonValue::Int(arg.into())],
         sweep_args: None,
         deadline_ms: None,
     }
@@ -56,7 +65,7 @@ fn deadline_reclaims_a_worker_and_the_daemon_serves_the_next_batch() {
     let (spin, _) = client.upload(&spin_wasm()).expect("uploads");
     let (square, _) = client.upload(&square_wasm()).expect("uploads");
 
-    let timeouts_before = client.status().expect("status").timeouts;
+    let timeouts_before = counter(&client.status().expect("status"), "timeouts");
 
     // A batch mixing an infinite loop under a 100 ms deadline with real
     // work: the spinner fails structured, the real work completes.
@@ -99,10 +108,10 @@ fn deadline_reclaims_a_worker_and_the_daemon_serves_the_next_batch() {
     assert!(next.iter().all(|r| r.results.is_ok()));
     let status = client.status().expect("status");
     assert!(
-        status.timeouts > timeouts_before,
+        counter(&status, "timeouts") > timeouts_before,
         "status counts the timeout: {} then {}",
         timeouts_before,
-        status.timeouts
+        counter(&status, "timeouts")
     );
 
     client.shutdown().expect("shuts down");
@@ -119,7 +128,7 @@ fn a_tagged_batch_is_cancelled_from_a_second_connection() {
 
     let mut submitter = Client::connect_unix(&path).expect("connects");
     let (spin, _) = submitter.upload(&spin_wasm()).expect("uploads");
-    let cancellations_before = submitter.status().expect("status").cancellations;
+    let cancellations_before = counter(&submitter.status().expect("status"), "cancellations");
 
     // The doomed batch spins forever; its stream blocks until the cancel
     // lands, so iterate it on a side thread.
@@ -170,7 +179,7 @@ fn a_tagged_batch_is_cancelled_from_a_second_connection() {
     let error = results[0].results.as_ref().expect_err("cancelled");
     assert!(error.contains("cancelled"), "{error}");
     let status = canceller.status().expect("status");
-    assert!(status.cancellations > cancellations_before);
+    assert!(counter(&status, "cancellations") > cancellations_before);
 
     canceller.shutdown().expect("shuts down");
     serve.join().expect("serve thread").expect("clean exit");
@@ -188,7 +197,7 @@ fn shedding_cancels_the_oldest_batch_to_admit_new_work() {
     let mut first = Client::connect_unix(&path).expect("connects");
     let (spin, _) = first.upload(&spin_wasm()).expect("uploads");
     let (square, _) = first.upload(&square_wasm()).expect("uploads");
-    let sheds_before = first.status().expect("status").sheds;
+    let sheds_before = counter(&first.status().expect("status"), "sheds");
 
     // Fill the daemon with a batch that would otherwise never finish.
     let old = std::thread::spawn(move || {
@@ -217,7 +226,7 @@ fn shedding_cancels_the_oldest_batch_to_admit_new_work() {
     // Wait until the old batch occupies both slots.
     let mut second = Client::connect_unix(&path).expect("connects");
     let patience = Instant::now() + Duration::from_secs(10);
-    while second.status().expect("status").in_flight < 2 {
+    while counter(&second.status().expect("status"), "in_flight") < 2 {
         assert!(Instant::now() < patience, "old batch never admitted");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -242,7 +251,7 @@ fn shedding_cancels_the_oldest_batch_to_admit_new_work() {
         assert!(error.contains("cancelled"), "{error}");
     }
     let status = second.status().expect("status");
-    assert!(status.sheds > sheds_before, "shed was counted");
+    assert!(counter(&status, "sheds") > sheds_before, "shed was counted");
 
     second.shutdown().expect("shuts down");
     serve.join().expect("serve thread").expect("clean exit");
@@ -319,7 +328,14 @@ fn a_live_client_survives_a_daemon_restart_via_backoff_reconnect() {
 
     let mut client = Client::connect_unix(&path).expect("connects");
     let (square, _) = client.upload(&square_wasm()).expect("uploads");
-    assert_eq!(client.status().expect("status").state, "accepting");
+    assert_eq!(
+        client
+            .status()
+            .expect("status")
+            .get("state")
+            .and_then(JsonValue::as_str),
+        Some("accepting")
+    );
 
     // Restart the daemon out from under the live client.
     let mut op = Client::connect_unix(&path).expect("connects");
@@ -338,7 +354,14 @@ fn a_live_client_survives_a_daemon_restart_via_backoff_reconnect() {
         .reconnect_with_backoff(10)
         .expect("daemon is back on the same socket");
     assert!(wasabi::stats::client_reconnects() > reconnects_before);
-    assert_eq!(client.status().expect("status").state, "accepting");
+    assert_eq!(
+        client
+            .status()
+            .expect("status")
+            .get("state")
+            .and_then(JsonValue::as_str),
+        Some("accepting")
+    );
 
     // The restarted daemon is empty — the client's world survives a
     // re-upload, not magic.
