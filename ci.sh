@@ -30,6 +30,14 @@ PROPTEST_CASES=256 cargo test -q -p wasabi-vm --test flat_vs_reference
 echo "==> cohort differential (PROPTEST_CASES=64)"
 PROPTEST_CASES=64 cargo test -q -p wasabi-vm --test cohort_vs_sequential
 
+# Parallel-build gate: `parallel_fused_build_is_bit_identical` is the
+# oracle for the build's deterministic join (per-function passes append,
+# the join interns in function-index and op order), so it sees more than
+# the fast local default. The same suite checks instrumentation
+# faithfulness on random programs.
+echo "==> fused-build proptests (PROPTEST_CASES=64)"
+PROPTEST_CASES=64 cargo test -q -p wasabi --test proptests
+
 # Chaos gate: the seeded fault-injection suite. Failpoints fire inside
 # the disk cache, the build slots, the fleet workers, and the server
 # frame layer; every injected fault must degrade to a structured error

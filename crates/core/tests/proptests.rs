@@ -203,6 +203,14 @@ fn arb_unary() -> impl Strategy<Value = (UnaryOp, Val)> {
     ]
 }
 
+/// How deep compound statements nest, so also how many `CountedLoop`s can
+/// enclose one another: each nesting depth gets a loop counter of its own.
+const NESTING: u32 = 3;
+
+/// The loop counter of the outermost `CountedLoop`; a loop nested `d`
+/// loops deep counts in local `LOOP_COUNTER + d`.
+const LOOP_COUNTER: u32 = 5;
+
 fn arb_stmt() -> impl Strategy<Value = Stmt> {
     let leaf = prop_oneof![
         arb_val().prop_map(Stmt::ConstDrop),
@@ -229,7 +237,7 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
         (0i32..2).prop_map(|cond| Stmt::EarlyReturnIf { cond }),
         Just(Stmt::Nop),
     ];
-    leaf.prop_recursive(3, 24, 4, |inner| {
+    leaf.prop_recursive(NESTING, 24, 4, |inner| {
         prop_oneof![
             (
                 0i32..2,
@@ -248,8 +256,9 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
 }
 
 /// Compile a statement into the function builder. `func_count` is the
-/// number of already-defined callable helper functions.
-fn emit(f: &mut FunctionBuilder, stmt: &Stmt, func_count: u32) {
+/// number of already-defined callable helper functions; `loops` is the
+/// number of `CountedLoop`s enclosing the statement.
+fn emit(f: &mut FunctionBuilder, stmt: &Stmt, func_count: u32, loops: u32) {
     match stmt {
         Stmt::ConstDrop(v) => {
             f.instr(Instr::Const(*v)).drop_();
@@ -299,33 +308,39 @@ fn emit(f: &mut FunctionBuilder, stmt: &Stmt, func_count: u32) {
         Stmt::IfElse { cond, then, else_ } => {
             f.i32_const(*cond).if_(None);
             for s in then {
-                emit(f, s, func_count);
+                emit(f, s, func_count, loops);
             }
             f.else_();
             for s in else_ {
-                emit(f, s, func_count);
+                emit(f, s, func_count, loops);
             }
             f.end();
         }
         Stmt::BlockBrIf { cond, body } => {
             f.block(None).i32_const(*cond).br_if(0);
             for s in body {
-                emit(f, s, func_count);
+                emit(f, s, func_count, loops);
             }
             f.end();
         }
         Stmt::CountedLoop { iterations, body } => {
-            // local 5 is the reserved loop counter (nested loops share it;
-            // resetting before each loop keeps iteration counts bounded).
-            f.i32_const(0).set_local(5u32);
+            // Each nesting depth counts in a local of its own: an inner
+            // loop that shared its outer loop's counter would reset it on
+            // every outer iteration, and a lower inner bound would then
+            // keep the outer loop from ever reaching its own.
+            let counter = LOOP_COUNTER + loops;
+            f.i32_const(0).set_local(counter);
             f.block(None).loop_(None);
-            f.get_local(5u32)
+            f.get_local(counter)
                 .i32_const(i32::from(*iterations))
                 .binary(BinaryOp::I32GeS)
                 .br_if(1);
-            f.get_local(5u32).i32_const(1).i32_add().set_local(5u32);
+            f.get_local(counter)
+                .i32_const(1)
+                .i32_add()
+                .set_local(counter);
             for s in body {
-                emit(f, s, func_count);
+                emit(f, s, func_count, loops + 1);
             }
             f.br(0).end().end();
         }
@@ -340,7 +355,7 @@ fn emit(f: &mut FunctionBuilder, stmt: &Stmt, func_count: u32) {
             f.br_table((0..n).collect(), n);
             f.end();
             for (i, arm) in arms.iter().enumerate() {
-                emit(f, arm, func_count);
+                emit(f, arm, func_count, loops);
                 let _ = i;
                 f.end();
             }
@@ -385,12 +400,12 @@ fn build_module(functions: &[Vec<Stmt>]) -> wasabi_wasm::Module {
             &[ValType::I32],
             &[ValType::I32],
             |f| {
-                // locals 1..=4 are scratch, local 5 the loop counter.
-                for _ in 0..5 {
+                // locals 1..=4 are scratch, the rest loop counters.
+                for _ in 0..4 + NESTING {
                     f.local(ValType::I32);
                 }
                 for stmt in stmts {
-                    emit(f, stmt, callable);
+                    emit(f, stmt, callable, 0);
                 }
                 f.get_local(0u32).get_global(0u32).i32_add();
             },
@@ -404,13 +419,13 @@ fn build_module(functions: &[Vec<Stmt>]) -> wasabi_wasm::Module {
     let callable = defined.len() as u32;
     builder.function("main", &[], &[ValType::I32], |f| {
         // One more local than the helpers: no parameter occupies index 0,
-        // so the scratch locals 1..=4 and loop counter 5 still line up.
-        for _ in 0..6 {
+        // so the scratch locals 1..=4 and the loop counters still line up.
+        for _ in 0..5 + NESTING {
             f.local(ValType::I32);
         }
         if let Some(last) = functions.last() {
             for stmt in last {
-                emit(f, stmt, callable);
+                emit(f, stmt, callable, 0);
             }
         }
         f.get_global(0u32);
@@ -562,7 +577,7 @@ impl Analysis for EventCounter {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 12,
+        cases: ProptestConfig::env_cases(12),
         failure_persistence: None,
         .. ProptestConfig::default()
     })]

@@ -46,9 +46,13 @@
 //! instructions that feed directly into an imported call — exactly the
 //! shape an instrumenter emits for every low-level hook call, whose
 //! trailing `(func, instr)` location arguments are `i32.const`s baked in at
-//! instrumentation time. The constants are deduplicated into a per-module
-//! const table ([`ModuleCode::consts`]) and handed to the host as the
-//! trailing argument run without ever touching the operand stack. The fold
+//! instrumentation time. The constants live in a per-module const table
+//! ([`ModuleCode::consts`]) and are handed to the host as the trailing
+//! argument run without ever touching the operand stack. A function's
+//! translation appends each folded run to a pool of its own, with no
+//! deduplication; the build's join then interns every run exactly once into
+//! the module tables, in function-index and op order, where identical runs
+//! (bit for bit) share one slice (see [`merge_local`]). The fold
 //! is generic over hosts: it keys purely on "constants feeding an imported
 //! call", not on any hook naming convention. Folding obeys the same two
 //! legality rules as every other superinstruction (no branch into the
@@ -60,7 +64,7 @@
 //! and `T.const` — exactly the instrumenter's payload-marshalling shape
 //! (captured values are re-read from locals, immediates and the location
 //! pair are constants). The argument list is compiled into a per-module
-//! [`ArgSrc`] template ([`ModuleCode::args`], deduplicated like the const
+//! [`ArgSrc`] template ([`ModuleCode::args`], interned like the const
 //! table), so a typical instrumented call site — five to eight
 //! marshalling instructions plus the call — executes as **one** op whose
 //! arguments are gathered straight from the frame's locals and the const
@@ -412,22 +416,21 @@ impl Default for TranslateOptions {
     }
 }
 
-/// Interner for the constant runs of [`Op::HostCallConst`] and the
-/// argument templates of [`Op::HostCallArgs`]: identical runs (bit-pattern
-/// equality, so NaNs and signed zeros dedupe exactly) share one slice of
-/// the respective table.
+/// The argument tables of the host-call folds: the constant runs of
+/// [`Op::HostCallConst`] and the argument templates of
+/// [`Op::HostCallArgs`]. A function's own pool is append-only: each fold
+/// writes its run to the end, once. Deduplication happens only at the join,
+/// where [`merge_local`] interns every run into the module's pool (see
+/// [`intern_run`]).
 #[derive(Debug, Default)]
 struct ConstPool {
     consts: Vec<Val>,
-    /// Const runs already interned, keyed by the values' bit patterns.
-    runs: HashMap<Vec<(u8, u64)>, u32>,
     args: Vec<ArgSrc>,
-    /// Templates already interned, keyed like `runs` (tag 4 = local).
-    templates: HashMap<Vec<(u8, u64)>, u32>,
 }
 
-fn val_key(v: Val) -> (u8, u64) {
-    match v {
+/// Bit pattern of a value, so NaNs and signed zeros compare exactly.
+fn val_key(v: &Val) -> (u8, u64) {
+    match *v {
         Val::I32(x) => (0u8, x as u32 as u64),
         Val::I64(x) => (1, x as u64),
         Val::F32(x) => (2, u64::from(x.to_bits())),
@@ -435,36 +438,44 @@ fn val_key(v: Val) -> (u8, u64) {
     }
 }
 
-impl ConstPool {
-    /// Intern a constant run, returning its start in the const table.
-    fn intern_consts(&mut self, values: &[Val]) -> u32 {
-        let key = values.iter().map(|&v| val_key(v)).collect();
-        if let Some(&at) = self.runs.get(&key) {
-            return at;
-        }
-        let at = self.consts.len() as u32;
-        self.consts.extend_from_slice(values);
-        self.runs.insert(key, at);
-        at
+/// Bit pattern of an argument source (tag 4 = local).
+fn arg_key(src: &ArgSrc) -> (u8, u64) {
+    match src {
+        ArgSrc::Local(i) => (4, u64::from(*i)),
+        ArgSrc::Value(v) => val_key(v),
     }
+}
 
-    /// Intern an argument template, returning its start in the args table.
-    fn intern_args(&mut self, srcs: &[ArgSrc]) -> u32 {
-        let key = srcs
-            .iter()
-            .map(|src| match src {
-                ArgSrc::Local(i) => (4u8, u64::from(*i)),
-                ArgSrc::Value(v) => val_key(*v),
-            })
-            .collect();
-        if let Some(&at) = self.templates.get(&key) {
+/// Intern `run` into `table`, returning its start: the start of an earlier
+/// identical run (bit-pattern equality, per `key`), or of a fresh copy
+/// appended to the table. `index` maps a 64-bit hash of each indexed run to
+/// its start, and a hit counts only if the stored slice matches bit for
+/// bit. A run whose hash is taken by a different run is appended without an
+/// index entry, so interning stays linear in the run's length even on
+/// crafted collisions.
+fn intern_run<T: Copy>(
+    table: &mut Vec<T>,
+    index: &mut HashMap<u64, u32>,
+    run: &[T],
+    key: fn(&T) -> (u8, u64),
+) -> u32 {
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let hash = run
+        .iter()
+        .map(key)
+        .fold(run.len() as u64, |h, (tag, bits)| {
+            mix(mix(h, u64::from(tag)), bits)
+        });
+    let end = table.len() as u32;
+    let at = *index.entry(hash).or_insert(end);
+    if at != end {
+        let stored = table.get(at as usize..at as usize + run.len());
+        if stored.is_some_and(|stored| stored.iter().map(key).eq(run.iter().map(key))) {
             return at;
         }
-        let at = self.args.len() as u32;
-        self.args.extend_from_slice(srcs);
-        self.templates.insert(key, at);
-        at
     }
+    table.extend_from_slice(run);
+    end
 }
 
 /// Structured-control-flow companion table: for each `block`/`loop`/`if`
@@ -512,7 +523,7 @@ pub(crate) fn translate_module_with(module: &Module, opts: TranslateOptions) -> 
 /// fused ops with every cross-function table reference
 /// ([`Op::CallIndirect`]'s signature id, [`Op::HostCallConst`]'s const run,
 /// [`Op::HostCallArgs`]'s template) still pointing into these **local**
-/// tables. [`merge_local`] re-interns them into the module-global tables at
+/// tables. [`merge_local`] interns them into the module-global tables at
 /// the deterministic join.
 #[derive(Debug, Default)]
 struct LocalTranslation {
@@ -522,24 +533,27 @@ struct LocalTranslation {
 }
 
 /// Module-global interning state built up at the join, in function-index
-/// order — byte-for-byte the tables the old sequential translation built.
+/// order.
 #[derive(Debug, Default)]
 struct GlobalTables {
     sigs: Vec<FuncType>,
     sig_ids: HashMap<FuncType, u32>,
     pool: ConstPool,
+    /// [`intern_run`]'s index of the const runs in `pool.consts`.
+    const_runs: HashMap<u64, u32>,
+    /// [`intern_run`]'s index of the templates in `pool.args`.
+    templates: HashMap<u64, u32>,
 }
 
-/// Re-intern one function's local tables into the global ones and remap its
-/// ops. Determinism argument: within a function, table references appear in
-/// the op stream in exactly the order the sequential translator interned
-/// them (Phase A interns `call_indirect` signatures in instruction order;
-/// the host-call folds of Phase B intern const runs / templates in
-/// left-to-right scan order of the first fuse pass, and fusion never
-/// reorders ops) — so walking the final ops in order and interning on first
-/// sight replays the sequential interning sequence. Calling `merge_local`
-/// in function-index order therefore reproduces the single-threaded global
-/// tables *exactly*, no matter how many threads translated the bodies.
+/// Intern one function's local tables into the global ones and remap its
+/// ops. Determinism argument: every table reference lives in the
+/// function's own ops — Phase A interns `call_indirect` signatures into the
+/// local table, and each host-call fold of Phase B appends its run to the
+/// local pool without deduplicating. The join interns them in
+/// function-index order and, within a function, in op order (fusion never
+/// reorders ops), each host-call run exactly once. The global tables
+/// therefore depend only on the final op streams, never on how many
+/// threads translated the bodies or which finished first.
 fn merge_local(tables: &mut GlobalTables, local: LocalTranslation) -> FuncCode {
     let LocalTranslation {
         mut code,
@@ -567,14 +581,19 @@ fn merge_local(tables: &mut GlobalTables, local: LocalTranslation) -> FuncCode {
             } => {
                 let at = *const_at as usize;
                 let run = &pool.consts[at..at + *const_len as usize];
-                *const_at = tables.pool.intern_consts(run);
+                *const_at = intern_run(
+                    &mut tables.pool.consts,
+                    &mut tables.const_runs,
+                    run,
+                    val_key,
+                );
             }
             Op::HostCallArgs {
                 args_at, args_len, ..
             } => {
                 let at = *args_at as usize;
                 let run = &pool.args[at..at + *args_len as usize];
-                *args_at = tables.pool.intern_args(run);
+                *args_at = intern_run(&mut tables.pool.args, &mut tables.templates, run, arg_key);
             }
             _ => {}
         }
@@ -584,11 +603,12 @@ fn merge_local(tables: &mut GlobalTables, local: LocalTranslation) -> FuncCode {
 
 /// The function-granular build pipeline (paper §3): translate every body as
 /// an independent pass — immutable module/type context in, per-function
-/// [`FuncCode`] plus local const pool out — fanned out over `threads`
-/// scoped workers in contiguous chunks, then merge the local pools into the
-/// module-global tables in function-index order. The merge is the only
-/// sequential section, and it makes the output **bit-identical** to
-/// `threads = 1` (see [`merge_local`]).
+/// [`FuncCode`] plus its append-only local pools out — fanned out over
+/// `threads` scoped workers in contiguous chunks, then intern each
+/// function's signatures and host-call runs into the module-global tables
+/// in function-index order. That join is the only sequential section, the
+/// only place runs are deduplicated, and it makes the output
+/// **bit-identical** to `threads = 1` (see [`merge_local`]).
 ///
 /// `funcs` supplies pre-instrumented replacement bodies (the direct-emit
 /// path); `None` translates the module as-is.
@@ -1017,62 +1037,59 @@ fn branch_targets(ops: &[Op]) -> Vec<bool> {
 }
 
 /// Try to fuse a superinstruction starting at `i`; returns the fused op and
-/// the number of ops it consumes. Members after the first must not be
-/// branch targets (control may only enter a group at its head), and longer
-/// groups are preferred over shorter ones.
-fn try_fuse(ops: &[Op], is_target: &[bool], i: usize, pool: &mut ConstPool) -> Option<(Op, usize)> {
+/// the number of ops it consumes. `run` is the number of `Const`/`LocalGet`
+/// ops starting at `i`. Members after the first must not be branch targets
+/// (control may only enter a group at its head), and longer groups are
+/// preferred over shorter ones.
+fn try_fuse(
+    ops: &[Op],
+    is_target: &[bool],
+    i: usize,
+    run: usize,
+    pool: &mut ConstPool,
+) -> Option<(Op, usize)> {
     let fusible = |k: usize| i + k < ops.len() && (1..=k).all(|j| !is_target[i + j]);
 
     // Host-call intrinsic fold: a run of consts and local reads feeding
     // directly into an imported call becomes one op, the argument sources
-    // interned in the module's const/template tables. The fold is capped
+    // appended to the function's const/template pool. The fold is capped
     // at the call's argument count — if the run is longer, the leading
     // values belong to a deeper stack consumer and the fold fires later,
     // at the run's suffix.
-    if matches!(ops[i], Op::Const(_) | Op::LocalGet(_)) {
-        let mut run = 1;
-        while matches!(ops.get(i + run), Some(Op::Const(_) | Op::LocalGet(_))) {
-            run += 1;
-        }
-        if let Some(Op::HostCall { func, argc, retc }) = ops.get(i + run) {
-            if run <= *argc as usize && fusible(run) {
-                let stack_argc = *argc - run as u32;
-                let sources = &ops[i..i + run];
-                let op = if sources.iter().all(|op| matches!(op, Op::Const(_))) {
-                    // All-constant run: the zero-copy const-table form.
-                    let values: Vec<Val> = sources
-                        .iter()
-                        .map(|op| match op {
-                            Op::Const(v) => *v,
-                            _ => unreachable!("run contains only consts"),
-                        })
-                        .collect();
-                    Op::HostCallConst {
-                        func: *func,
-                        stack_argc,
-                        retc: *retc,
-                        const_at: pool.intern_consts(&values),
-                        const_len: run as u32,
-                    }
-                } else {
-                    let srcs: Vec<ArgSrc> = sources
-                        .iter()
-                        .map(|op| match op {
-                            Op::Const(v) => ArgSrc::Value(*v),
-                            Op::LocalGet(idx) => ArgSrc::Local(*idx),
-                            _ => unreachable!("run contains only consts and local reads"),
-                        })
-                        .collect();
-                    Op::HostCallArgs {
-                        func: *func,
-                        stack_argc,
-                        retc: *retc,
-                        args_at: pool.intern_args(&srcs),
-                        args_len: run as u32,
-                    }
-                };
-                return Some((op, run + 1));
-            }
+    if let Some(Op::HostCall { func, argc, retc }) = ops.get(i + run) {
+        if (1..=*argc as usize).contains(&run) && fusible(run) {
+            let stack_argc = *argc - run as u32;
+            let sources = &ops[i..i + run];
+            let op = if sources.iter().all(|op| matches!(op, Op::Const(_))) {
+                // All-constant run: the zero-copy const-table form.
+                let const_at = pool.consts.len() as u32;
+                pool.consts.extend(sources.iter().map(|op| match op {
+                    Op::Const(v) => *v,
+                    _ => unreachable!("run contains only consts"),
+                }));
+                Op::HostCallConst {
+                    func: *func,
+                    stack_argc,
+                    retc: *retc,
+                    const_at,
+                    const_len: run as u32,
+                }
+            } else {
+                let args_at = pool.args.len() as u32;
+                pool.args.extend(sources.iter().map(|op| match op {
+                    Op::Const(v) => ArgSrc::Value(*v),
+                    Op::LocalGet(idx) => ArgSrc::Local(*idx),
+                    _ => unreachable!("run contains only consts and local reads"),
+                }));
+                Op::HostCallArgs {
+                    func: *func,
+                    stack_argc,
+                    retc: *retc,
+                    args_at,
+                    args_len: run as u32,
+                }
+            };
+            return Some((op, run + 1));
         }
     }
 
@@ -1251,10 +1268,19 @@ fn fuse_pass(ops: Vec<Op>, pool: &mut ConstPool) -> Vec<Op> {
     // Branch targets only ever point at group heads (enforced by
     // `try_fuse`), so the mapping is unambiguous for them.
     let mut map = vec![0u32; ops.len()];
+    // End of the `Const`/`LocalGet` run covering `i`, found once per run so
+    // the pass stays linear however long the run is.
+    let mut run_end = 0;
     let mut i = 0;
     while i < ops.len() {
         let new_idx = fused.len() as u32;
-        if let Some((op, width)) = try_fuse(&ops, &is_target, i, pool) {
+        if run_end <= i {
+            run_end = i + ops[i..]
+                .iter()
+                .take_while(|op| matches!(op, Op::Const(_) | Op::LocalGet(_)))
+                .count();
+        }
+        if let Some((op, width)) = try_fuse(&ops, &is_target, i, run_end - i, pool) {
             for k in 0..width {
                 map[i + k] = new_idx;
             }
@@ -1698,25 +1724,46 @@ mod tests {
 
     #[test]
     fn identical_const_runs_dedupe_in_the_pool() {
+        // Runs are deduplicated only at the join, so a repeat inside one
+        // function and a repeat in another must share a slice alike.
         let code = translate(|b| {
             let f = b.import_function("env", "f", &[ValType::I32, ValType::I32], &[]);
-            b.function("g", &[], &[], |body| {
+            b.function("g", &[ValType::I32], &[], |body| {
                 body.i32_const(7).i32_const(9).call(f);
                 body.i32_const(7).i32_const(9).call(f);
                 body.i32_const(8).i32_const(9).call(f);
+                body.get_local(0u32).i32_const(5).call(f);
+            });
+            b.function("h", &[ValType::I32], &[], |body| {
+                body.get_local(0u32).i32_const(5).call(f);
+                body.i32_const(7).i32_const(9).call(f);
             });
         });
-        // Two identical runs share one table slice; the third differs.
-        assert_eq!(code.consts.len(), 4);
-        let host_calls: Vec<_> = code.funcs[1]
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                Op::HostCallConst { const_at, .. } => Some(*const_at),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(host_calls, vec![0, 0, 2]);
+        // Each distinct run or template is stored once.
+        assert_eq!(
+            code.consts,
+            vec![Val::I32(7), Val::I32(9), Val::I32(8), Val::I32(9)]
+        );
+        assert_eq!(
+            code.args,
+            vec![ArgSrc::Local(0), ArgSrc::Value(Val::I32(5))]
+        );
+        let slices = |func: usize| -> Vec<(&str, u32)> {
+            code.funcs[func]
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    Op::HostCallConst { const_at, .. } => Some(("consts", *const_at)),
+                    Op::HostCallArgs { args_at, .. } => Some(("args", *args_at)),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(
+            slices(1),
+            vec![("consts", 0), ("consts", 0), ("consts", 2), ("args", 0)]
+        );
+        assert_eq!(slices(2), vec![("args", 0), ("consts", 0)]);
     }
 
     #[test]
