@@ -50,6 +50,11 @@ cargo test -q -p wasabi --test chaos
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# Lint gate: every clippy warning is an error, on every target (tests,
+# benches and examples included). Fix the code rather than allowing a lint.
+echo "==> cargo clippy (warnings are errors)"
+cargo clippy --workspace --all-targets -- -D warnings
+
 # Documentation gate: the rustdoc must build without warnings (broken
 # intra-doc links, missing docs the lints catch, ...). Library targets
 # only: the `wasabi` CLI bin would collide with the `wasabi` lib's output

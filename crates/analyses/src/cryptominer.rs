@@ -24,7 +24,8 @@ pub const SIGNATURE_OPS: [BinaryOp; 5] = [
 /// hash-like workloads.
 #[derive(Debug, Default, Clone)]
 pub struct CryptominerDetection {
-    signature: BTreeMap<&'static str, u64>,
+    /// Executed count per entry of [`SIGNATURE_OPS`], by position.
+    hits: [u64; SIGNATURE_OPS.len()],
     total_binary: u64,
 }
 
@@ -34,9 +35,15 @@ impl CryptominerDetection {
         CryptominerDetection::default()
     }
 
-    /// Counts per signature instruction (the paper's `signature` object).
-    pub fn signature(&self) -> &BTreeMap<&'static str, u64> {
-        &self.signature
+    /// Counts per signature instruction (the paper's `signature` object),
+    /// by mnemonic. Instructions that never executed are absent.
+    pub fn signature(&self) -> BTreeMap<&'static str, u64> {
+        SIGNATURE_OPS
+            .iter()
+            .zip(self.hits)
+            .filter(|&(_, count)| count > 0)
+            .map(|(op, count)| (op.name(), count))
+            .collect()
     }
 
     /// Total executed binary instructions (denominator for the ratio).
@@ -50,7 +57,7 @@ impl CryptominerDetection {
         if self.total_binary == 0 {
             return 0.0;
         }
-        let hits: u64 = self.signature.values().sum();
+        let hits: u64 = self.hits.iter().sum();
         hits as f64 / self.total_binary as f64
     }
 
@@ -59,8 +66,8 @@ impl CryptominerDetection {
     /// of work and a dominant signature share, with all five signature
     /// instructions present (hash rounds use the full mix).
     pub fn is_likely_miner(&self) -> bool {
-        let hits: u64 = self.signature.values().sum();
-        hits >= 10_000 && self.signature_ratio() > 0.8 && self.signature.len() == 5
+        let hits: u64 = self.hits.iter().sum();
+        hits >= 10_000 && self.signature_ratio() > 0.8 && self.hits.iter().all(|&count| count > 0)
     }
 }
 
@@ -81,9 +88,9 @@ impl Analysis for CryptominerDetection {
                 (
                     "signature",
                     JsonValue::object(
-                        self.signature
-                            .iter()
-                            .map(|(&op, &count)| (op, JsonValue::from(count))),
+                        self.signature()
+                            .into_iter()
+                            .map(|(op, count)| (op, JsonValue::from(count))),
                     ),
                 ),
                 ("total_binary", self.total_binary.into()),
@@ -95,8 +102,8 @@ impl Analysis for CryptominerDetection {
 
     fn binary(&mut self, _: &AnalysisCtx, evt: &BinaryEvt) {
         self.total_binary += 1;
-        if SIGNATURE_OPS.contains(&evt.op) {
-            *self.signature.entry(evt.op.name()).or_insert(0) += 1;
+        if let Some(i) = SIGNATURE_OPS.iter().position(|&op| op == evt.op) {
+            self.hits[i] += 1;
         }
     }
 }

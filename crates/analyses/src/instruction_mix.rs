@@ -10,12 +10,43 @@ use wasabi::event::{
 };
 use wasabi::hooks::{Analysis, BlockKind};
 use wasabi::report::{JsonValue, Report};
-use wasabi_wasm::instr::Val;
+use wasabi_wasm::instr::{mnemonic, Val};
+
+// MVP opcodes of the counted instructions whose events carry no op enum.
+const UNREACHABLE: u8 = 0x00;
+const NOP: u8 = 0x01;
+const BLOCK: u8 = 0x02;
+const LOOP: u8 = 0x03;
+const IF: u8 = 0x04;
+const BR: u8 = 0x0c;
+const BR_IF: u8 = 0x0d;
+const BR_TABLE: u8 = 0x0e;
+const RETURN: u8 = 0x0f;
+const CALL: u8 = 0x10;
+const CALL_INDIRECT: u8 = 0x11;
+const DROP: u8 = 0x1a;
+const SELECT: u8 = 0x1b;
+const MEMORY_SIZE: u8 = 0x3f;
+const MEMORY_GROW: u8 = 0x40;
+const I32_CONST: u8 = 0x41;
+const I64_CONST: u8 = 0x42;
+const F32_CONST: u8 = 0x43;
+const F64_CONST: u8 = 0x44;
 
 /// Counts executed instructions by mnemonic. Uses all hooks.
-#[derive(Debug, Default, Clone)]
+///
+/// Counts are kept by binary opcode, so each event is one array
+/// increment; they are named through [`mnemonic`] only when read
+/// ([`InstructionMix::counts`], [`InstructionMix::top`], the report).
+#[derive(Debug, Clone)]
 pub struct InstructionMix {
-    counts: BTreeMap<&'static str, u64>,
+    counts: [u64; 256],
+}
+
+impl Default for InstructionMix {
+    fn default() -> Self {
+        InstructionMix { counts: [0; 256] }
+    }
 }
 
 impl InstructionMix {
@@ -24,24 +55,31 @@ impl InstructionMix {
         InstructionMix::default()
     }
 
-    fn bump(&mut self, name: &'static str) {
-        *self.counts.entry(name).or_insert(0) += 1;
+    fn bump(&mut self, opcode: u8) {
+        self.counts[usize::from(opcode)] += 1;
     }
 
     /// Executed count per instruction mnemonic, alphabetically ordered.
-    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
+    /// Instructions that never executed are absent.
+    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
+        (0..=u8::MAX)
+            .zip(self.counts)
+            .filter(|&(_, count)| count > 0)
+            .map(|(opcode, count)| {
+                let name = mnemonic(opcode).expect("only MVP opcodes are counted");
+                (name, count)
+            })
+            .collect()
     }
 
     /// Total number of instructions observed.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// The `n` most frequent instructions.
     pub fn top(&self, n: usize) -> Vec<(&'static str, u64)> {
-        let mut entries: Vec<(&'static str, u64)> =
-            self.counts.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut entries: Vec<(&'static str, u64)> = self.counts().into_iter().collect();
         entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         entries.truncate(n);
         entries
@@ -63,9 +101,9 @@ impl Analysis for InstructionMix {
                 (
                     "counts",
                     JsonValue::object(
-                        self.counts
-                            .iter()
-                            .map(|(&name, &count)| (name, JsonValue::from(count))),
+                        self.counts()
+                            .into_iter()
+                            .map(|(name, count)| (name, JsonValue::from(count))),
                     ),
                 ),
             ]),
@@ -73,76 +111,76 @@ impl Analysis for InstructionMix {
     }
 
     fn nop(&mut self, _: &AnalysisCtx) {
-        self.bump("nop");
+        self.bump(NOP);
     }
     fn unreachable(&mut self, _: &AnalysisCtx) {
-        self.bump("unreachable");
+        self.bump(UNREACHABLE);
     }
     fn if_(&mut self, _: &AnalysisCtx, _: &IfEvt) {
-        self.bump("if");
+        self.bump(IF);
     }
     fn br(&mut self, _: &AnalysisCtx, _: &BranchEvt) {
-        self.bump("br");
+        self.bump(BR);
     }
     fn br_if(&mut self, _: &AnalysisCtx, _: &BranchEvt) {
-        self.bump("br_if");
+        self.bump(BR_IF);
     }
     fn br_table(&mut self, _: &AnalysisCtx, _: &BranchTableEvt<'_>) {
-        self.bump("br_table");
+        self.bump(BR_TABLE);
     }
     fn begin(&mut self, _: &AnalysisCtx, evt: &BlockEvt) {
         match evt.kind {
-            BlockKind::Block => self.bump("block"),
-            BlockKind::Loop => self.bump("loop"),
+            BlockKind::Block => self.bump(BLOCK),
+            BlockKind::Loop => self.bump(LOOP),
             _ => {}
         }
     }
     fn memory_size(&mut self, _: &AnalysisCtx, _: &MemSizeEvt) {
-        self.bump("memory.size");
+        self.bump(MEMORY_SIZE);
     }
     fn memory_grow(&mut self, _: &AnalysisCtx, _: &MemGrowEvt) {
-        self.bump("memory.grow");
+        self.bump(MEMORY_GROW);
     }
     fn const_(&mut self, _: &AnalysisCtx, evt: &ValEvt) {
         self.bump(match evt.value {
-            Val::I32(_) => "i32.const",
-            Val::I64(_) => "i64.const",
-            Val::F32(_) => "f32.const",
-            Val::F64(_) => "f64.const",
+            Val::I32(_) => I32_CONST,
+            Val::I64(_) => I64_CONST,
+            Val::F32(_) => F32_CONST,
+            Val::F64(_) => F64_CONST,
         });
     }
     fn drop_(&mut self, _: &AnalysisCtx, _: &ValEvt) {
-        self.bump("drop");
+        self.bump(DROP);
     }
     fn select(&mut self, _: &AnalysisCtx, _: &SelectEvt) {
-        self.bump("select");
+        self.bump(SELECT);
     }
     fn unary(&mut self, _: &AnalysisCtx, evt: &UnaryEvt) {
-        self.bump(evt.op.name());
+        self.bump(evt.op.opcode());
     }
     fn binary(&mut self, _: &AnalysisCtx, evt: &BinaryEvt) {
-        self.bump(evt.op.name());
+        self.bump(evt.op.opcode());
     }
     fn load(&mut self, _: &AnalysisCtx, evt: &LoadEvt) {
-        self.bump(evt.op.name());
+        self.bump(evt.op.opcode());
     }
     fn store(&mut self, _: &AnalysisCtx, evt: &StoreEvt) {
-        self.bump(evt.op.name());
+        self.bump(evt.op.opcode());
     }
     fn local(&mut self, _: &AnalysisCtx, evt: &LocalEvt) {
-        self.bump(evt.op.name());
+        self.bump(evt.op.opcode());
     }
     fn global(&mut self, _: &AnalysisCtx, evt: &GlobalEvt) {
-        self.bump(evt.op.name());
+        self.bump(evt.op.opcode());
     }
     fn return_(&mut self, _: &AnalysisCtx, _: &ReturnEvt<'_>) {
-        self.bump("return");
+        self.bump(RETURN);
     }
     fn call_pre(&mut self, _: &AnalysisCtx, evt: &CallEvt<'_>) {
         self.bump(if evt.is_indirect() {
-            "call_indirect"
+            CALL_INDIRECT
         } else {
-            "call"
+            CALL
         });
     }
 }
@@ -194,10 +232,10 @@ mod tests {
     fn top_orders_by_count() {
         let mut mix = InstructionMix::new();
         for _ in 0..3 {
-            mix.bump("i32.add");
+            mix.bump(wasabi_wasm::BinaryOp::I32Add.opcode());
         }
-        mix.bump("i32.mul");
-        let top = mix.top(1);
-        assert_eq!(top, vec![("i32.add", 3)]);
+        mix.bump(wasabi_wasm::BinaryOp::I32Mul.opcode());
+        assert_eq!(mix.top(1), vec![("i32.add", 3)]);
+        assert_eq!(mix.top(5), vec![("i32.add", 3), ("i32.mul", 1)]);
     }
 }

@@ -157,7 +157,7 @@ fn run_cohort(module: &Module, inputs: &[i32]) -> (Vec<Vec<Val>>, Row) {
 /// Median-by-wall of `rounds` runs.
 fn median<F: FnMut() -> (Vec<Vec<Val>>, Row)>(mut run: F, rounds: usize) -> (Vec<Vec<Val>>, Row) {
     let mut measured: Vec<(Vec<Vec<Val>>, Row)> = (0..rounds).map(|_| run()).collect();
-    measured.sort_by(|a, b| a.1.wall.cmp(&b.1.wall));
+    measured.sort_by_key(|(_, row)| row.wall);
     measured.swap_remove(measured.len() / 2)
 }
 

@@ -73,7 +73,7 @@ fn run_config(
     let mut measured: Vec<Row> = (0..rounds)
         .map(|_| run_once(config, kernels, repeats, workers, warm))
         .collect();
-    measured.sort_by(|a, b| a.wall.cmp(&b.wall));
+    measured.sort_by_key(|row| row.wall);
     measured.swap_remove(measured.len() / 2)
 }
 

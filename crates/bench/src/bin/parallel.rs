@@ -21,7 +21,7 @@
 //!   validating + instrumenting + translating from scratch.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wasabi::cache::{content_key, ModuleCache};
@@ -45,13 +45,13 @@ struct DiskRow {
 
 /// Build every kernel `repeats` times at the given thread count; the
 /// whole sweep is what Table 5 times (instrumentation, all functions).
-fn build_pass(kernels: &[Module], repeats: usize, threads: usize) -> Duration {
+fn build_pass(kernels: &[Arc<Module>], repeats: usize, threads: usize) -> Duration {
     let start = Instant::now();
     for _ in 0..repeats {
         for module in kernels {
             let (_translated, info) = Instrumenter::new(HookSet::all())
                 .threads(threads)
-                .run_direct(module)
+                .run_direct(Arc::clone(module))
                 .expect("kernel builds");
             assert!(!info.hooks.is_empty(), "all-hooks build monomorphizes");
         }
@@ -60,7 +60,12 @@ fn build_pass(kernels: &[Module], repeats: usize, threads: usize) -> Duration {
 }
 
 /// Median-of-`rounds` wall time for one thread count.
-fn measure_threads(kernels: &[Module], repeats: usize, threads: usize, rounds: usize) -> Duration {
+fn measure_threads(
+    kernels: &[Arc<Module>],
+    repeats: usize,
+    threads: usize,
+    rounds: usize,
+) -> Duration {
     let mut walls: Vec<Duration> = (0..rounds)
         .map(|_| build_pass(kernels, repeats, threads))
         .collect();
@@ -73,7 +78,7 @@ fn measure_threads(kernels: &[Module], repeats: usize, threads: usize, rounds: u
 /// populated one, every session decodes from the disk tier.
 fn start_process(
     config: &'static str,
-    kernels: &[(String, Module)],
+    kernels: &[(String, Arc<Module>)],
     dir: &std::path::Path,
 ) -> DiskRow {
     let disk = DiskCache::new(dir).expect("disk cache dir");
@@ -135,17 +140,17 @@ fn main() {
     }
     thread_counts.push(max_threads);
 
-    let named_kernels: Vec<(String, Module)> = polybench::NAMES
+    let named_kernels: Vec<(String, Arc<Module>)> = polybench::NAMES
         .iter()
         .take(kernel_count)
         .map(|name| {
             let program = polybench::by_name(name, polybench_n).expect("known kernel");
             let module = compile(&program);
             let key = content_key(&wasabi_wasm::encode::encode(&module));
-            (key, module)
+            (key, Arc::new(module))
         })
         .collect();
-    let kernels: Vec<Module> = named_kernels.iter().map(|(_, m)| m.clone()).collect();
+    let kernels: Vec<Arc<Module>> = named_kernels.iter().map(|(_, m)| Arc::clone(m)).collect();
     let functions: usize = kernels.iter().map(|m| m.functions.len()).sum();
 
     println!(
@@ -185,8 +190,7 @@ fn main() {
 
     // Disk tier: cold start (empty dir: build + persist) vs warm start
     // (fresh cache, populated dir: decode only). Median-of-rounds each.
-    let dir = PathBuf::from(std::env::temp_dir())
-        .join(format!("wasabi-bench-parallel-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("wasabi-bench-parallel-{}", std::process::id()));
     let mut colds = Vec::new();
     let mut warms = Vec::new();
     for _ in 0..rounds {
@@ -194,8 +198,8 @@ fn main() {
         colds.push(start_process("cold_start", &named_kernels, &dir));
         warms.push(start_process("disk_warm_start", &named_kernels, &dir));
     }
-    colds.sort_by(|a, b| a.wall.cmp(&b.wall));
-    warms.sort_by(|a, b| a.wall.cmp(&b.wall));
+    colds.sort_by_key(|row| row.wall);
+    warms.sort_by_key(|row| row.wall);
     let cold = colds.swap_remove(colds.len() / 2);
     let warm = warms.swap_remove(warms.len() / 2);
     let _ = std::fs::remove_dir_all(&dir);

@@ -40,7 +40,7 @@
 //! builder.function("main", &[], &[ValType::I32], |f| {
 //!     f.i32_const(42);
 //! });
-//! let module = builder.finish();
+//! let module = Arc::new(builder.finish());
 //!
 //! let cache = ModuleCache::new();
 //! let first = cache.session_for("answer.wasm", HookSet::all(), &module)?;
@@ -49,6 +49,8 @@
 //! // Both lookups share ONE instrumented translation.
 //! assert!(Arc::ptr_eq(&first.session, &second.session));
 //! assert_eq!((cache.misses(), cache.hits()), (1, 1));
+//! // The session shares the caller's module instead of copying it.
+//! assert!(std::ptr::eq(first.session.module(), Arc::as_ptr(&module)));
 //!
 //! // A different hook set is a different instrumented module.
 //! let other = cache.session_for("answer.wasm", HookSet::empty(), &module)?;
@@ -206,7 +208,8 @@ impl ModuleCache {
     /// Concurrent lookups of the **same** key block until the first
     /// completes, then hit; lookups of distinct keys build concurrently.
     /// `module` is only read on a miss; the caller guarantees that equal
-    /// keys always name equal modules.
+    /// keys always name equal modules. A session built or loaded on a miss
+    /// shares `module` (it keeps a clone of the `Arc`, not of the module).
     ///
     /// # Errors
     ///
@@ -216,7 +219,7 @@ impl ModuleCache {
         &self,
         key: &str,
         hooks: HookSet,
-        module: &Module,
+        module: &Arc<Module>,
     ) -> Result<CachedSession, ValidationError> {
         let slot = {
             let mut entries = self.entries.lock().unwrap();
@@ -273,7 +276,7 @@ impl ModuleCache {
                 // point of fusing instrument and translate is that every
                 // cache miss gets cheaper — and written back to the disk
                 // tier (overwriting any corrupt entry that just missed).
-                let (translated, info) = Instrumenter::new(hooks).run_direct(module)?;
+                let (translated, info) = Instrumenter::new(hooks).run_direct(Arc::clone(module))?;
                 let session = Arc::new(AnalysisSession::from_direct(translated, info));
                 if let Some(disk) = &self.disk {
                     disk.store(key, hooks, &session);
@@ -401,12 +404,12 @@ mod tests {
     use wasabi_wasm::builder::ModuleBuilder;
     use wasabi_wasm::ValType;
 
-    fn module(answer: i32) -> Module {
+    fn module(answer: i32) -> Arc<Module> {
         let mut builder = ModuleBuilder::new();
         builder.function("main", &[], &[ValType::I32], |f| {
             f.i32_const(answer);
         });
-        builder.finish()
+        Arc::new(builder.finish())
     }
 
     #[test]
@@ -439,6 +442,25 @@ mod tests {
     }
 
     #[test]
+    fn sessions_share_the_callers_module() {
+        let dir = std::env::temp_dir().join(format!("wasabi-cache-share-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let m = module(8);
+        let cold = ModuleCache::new().with_disk(DiskCache::new(&dir).expect("creates dir"));
+        let built = cold.session_for("k", HookSet::all(), &m).expect("builds");
+        assert!(!built.hit);
+        assert!(std::ptr::eq(built.session.module(), Arc::as_ptr(&m)));
+
+        // A restarted cache loads the session from the disk tier, and that
+        // session shares the module too.
+        let warm = ModuleCache::new().with_disk(DiskCache::new(&dir).expect("opens dir"));
+        let loaded = warm.session_for("k", HookSet::all(), &m).expect("loads");
+        assert_eq!(warm.disk_hits(), 1);
+        assert!(std::ptr::eq(loaded.session.module(), Arc::as_ptr(&m)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn concurrent_same_key_lookups_build_exactly_once() {
         let cache = ModuleCache::new();
         let module = module(3);
@@ -464,7 +486,7 @@ mod tests {
         builder.function("main", &[], &[ValType::I32], |f| {
             f.i64_const(1);
         });
-        let bad = builder.finish();
+        let bad = Arc::new(builder.finish());
         let cache = ModuleCache::new();
         assert!(cache.session_for("bad", HookSet::all(), &bad).is_err());
         assert_eq!(cache.misses(), 0);
@@ -531,7 +553,7 @@ mod tests {
     #[test]
     fn concurrent_lookups_respect_the_capacity_bound() {
         let cache = ModuleCache::bounded(2);
-        let modules: Vec<Module> = (0..6).map(module).collect();
+        let modules: Vec<Arc<Module>> = (0..6).map(module).collect();
         let cache_ref = &cache;
         std::thread::scope(|s| {
             for (i, m) in modules.iter().enumerate() {

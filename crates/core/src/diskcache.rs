@@ -46,6 +46,7 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use wasabi_wasm::instr::{BinaryOp, GlobalOp, LoadOp, LocalOp, StoreOp, UnaryOp};
 use wasabi_wasm::module::Module;
@@ -114,10 +115,11 @@ impl DiskCache {
     }
 
     /// Load and verify the entry for `(key, hooks)`, rebuilding the
-    /// session against `module` (which must be the binary `key` names).
-    /// Returns `None` — never panics, never serves mismatched code — when
-    /// there is no usable entry; the caller rebuilds.
-    pub fn load(&self, key: &str, hooks: HookSet, module: &Module) -> Option<AnalysisSession> {
+    /// session against `module` (which must be the binary `key` names);
+    /// the loaded session shares `module`. Returns `None` — never panics,
+    /// never serves mismatched code — when there is no usable entry; the
+    /// caller rebuilds.
+    pub fn load(&self, key: &str, hooks: HookSet, module: &Arc<Module>) -> Option<AnalysisSession> {
         if crate::fault::fire("disk/load").is_some() {
             return None;
         }
@@ -153,7 +155,7 @@ impl DiskCache {
             return None;
         }
 
-        let translated = TranslatedModule::from_encoded_code(module.clone(), code_bytes)?;
+        let translated = TranslatedModule::from_encoded_code(Arc::clone(module), code_bytes)?;
         if translated.hook_imports().len() != hook_list.len() {
             return None;
         }
@@ -533,7 +535,7 @@ mod tests {
     use crate::instrument::Instrumenter;
     use wasabi_wasm::builder::ModuleBuilder;
 
-    fn sample_module() -> Module {
+    fn sample_module() -> Arc<Module> {
         let mut builder = ModuleBuilder::new();
         builder.memory(1, None);
         builder.function("f", &[ValType::I32], &[ValType::I32], |f| {
@@ -547,11 +549,13 @@ mod tests {
         builder.function("g", &[], &[ValType::I64], |f| {
             f.i64_const(7);
         });
-        builder.finish()
+        Arc::new(builder.finish())
     }
 
-    fn build(module: &Module, hooks: HookSet) -> AnalysisSession {
-        let (translated, info) = Instrumenter::new(hooks).run_direct(module).expect("builds");
+    fn build(module: &Arc<Module>, hooks: HookSet) -> AnalysisSession {
+        let (translated, info) = Instrumenter::new(hooks)
+            .run_direct(Arc::clone(module))
+            .expect("builds");
         AnalysisSession::from_direct(translated, info)
     }
 

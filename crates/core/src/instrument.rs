@@ -24,6 +24,7 @@
 //!   matter how workers interleave (see `canonicalize` in this module).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use wasabi_wasm::error::ValidationError;
 use wasabi_wasm::instr::{BlockType, Idx, Instr, Label, LocalOp, LocalSpace, UnaryOp, Val};
@@ -132,25 +133,30 @@ impl Instrumenter {
     /// instrumentation/translation phases — there is no meaningful
     /// boundary between the two inside this pass.
     ///
+    /// The returned translation keeps `module` itself: a caller that
+    /// already holds the module in an `Arc` (a content store, a fleet job)
+    /// passes a clone of that `Arc`, and the session shares the module
+    /// instead of copying it.
+    ///
     /// # Errors
     ///
     /// Fails if the input module does not validate.
     pub fn run_direct(
         &self,
-        module: &Module,
+        module: impl Into<Arc<Module>>,
     ) -> Result<(TranslatedModule, ModuleInfo), ValidationError> {
         crate::stats::record_instrumentation();
         let timer = std::time::Instant::now();
-        let result = self.run_direct_inner(module);
+        let result = self.run_direct_inner(module.into());
         crate::stats::record_fused_build_time(timer.elapsed());
         result
     }
 
     fn run_direct_inner(
         &self,
-        module: &Module,
+        module: Arc<Module>,
     ) -> Result<(TranslatedModule, ModuleInfo), ValidationError> {
-        let (results, info, instrument_busy) = self.instrument_functions(module)?;
+        let (results, info, instrument_busy) = self.instrument_functions(&module)?;
 
         let funcs: Vec<Option<InstrumentedFunc>> = results
             .into_iter()
@@ -159,7 +165,7 @@ impl Instrumenter {
         let hook_imports = crate::hookmap::hook_imports(&info.hooks);
 
         let (translated, translate_busy) = TranslatedModule::new_instrumented_with_threads(
-            module.clone(),
+            module,
             &funcs,
             hook_imports,
             self.threads,

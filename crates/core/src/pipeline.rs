@@ -177,7 +177,7 @@ impl<'a> PipelineBuilder<'a> {
         }
         let session = match self.mode {
             InstrumentationMode::DirectEmit => {
-                let (translated, info) = instrumenter.run_direct(module)?;
+                let (translated, info) = instrumenter.run_direct(module.clone())?;
                 AnalysisSession::from_direct(translated, info)
             }
             InstrumentationMode::Rewrite => {
@@ -605,6 +605,6 @@ mod tests {
             builder.hooks(),
             HookSet::of(&[Hook::Binary, Hook::Load, Hook::Store])
         );
-        assert_eq!(format!("{builder:?}").contains("analyses: 2"), true);
+        assert!(format!("{builder:?}").contains("analyses: 2"));
     }
 }

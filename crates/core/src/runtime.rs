@@ -90,10 +90,10 @@ fn build_plans(info: &ModuleInfo, subscribed: impl Fn(Hook) -> bool) -> Vec<Hook
             });
             // A br_table hook also replays `end` hooks, so it must keep
             // firing while anyone subscribes to `end`.
-            let skip = !subscribed(hook.hook())
-                && !(matches!(hook, LowLevelHook::BrTable) && subscribed(Hook::End));
+            let fires = subscribed(hook.hook())
+                || (matches!(hook, LowLevelHook::BrTable) && subscribed(Hook::End));
             HookPlan {
-                skip,
+                skip: !fires,
                 splits: splits.into_boxed_slice(),
                 loc_at,
             }
@@ -647,7 +647,7 @@ impl AnalysisSession {
     ///
     /// Fails if the module does not validate.
     pub fn direct(module: &Module, hooks: HookSet) -> Result<Self, wasabi_wasm::ValidationError> {
-        let (translated, info) = Instrumenter::new(hooks).run_direct(module)?;
+        let (translated, info) = Instrumenter::new(hooks).run_direct(module.clone())?;
         Ok(Self::from_direct(translated, info))
     }
 

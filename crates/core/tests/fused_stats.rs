@@ -37,7 +37,7 @@ fn build_timers_are_disjoint_between_the_two_paths() {
     let fused_before = stats::fused_build_time();
     let passes_before = stats::instrumentation_passes();
     let (_translated, info) = Instrumenter::new(HookSet::all())
-        .run_direct(&module)
+        .run_direct(module.clone())
         .expect("module validates");
     assert!(!info.hooks.is_empty(), "all-hooks run monomorphizes hooks");
     assert!(
@@ -81,7 +81,7 @@ fn build_timers_are_disjoint_between_the_two_paths() {
     let worker_before = stats::build_worker_time();
     let (_translated, _info) = Instrumenter::new(HookSet::all())
         .threads(4)
-        .run_direct(&module)
+        .run_direct(module.clone())
         .expect("module validates");
     assert!(
         stats::fused_build_time() > fused_before,

@@ -623,11 +623,11 @@ proptest! {
 
         let (base, base_info) = Instrumenter::new(hooks)
             .threads(1)
-            .run_direct(&module)
+            .run_direct(module.clone())
             .expect("single-threaded build");
         let (par, par_info) = Instrumenter::new(hooks)
             .threads(threads)
-            .run_direct(&module)
+            .run_direct(module.clone())
             .expect("parallel build");
         prop_assert_eq!(
             base.code_debug(), par.code_debug(),

@@ -347,7 +347,6 @@ pub fn client_main(args: Vec<String>) -> Result<(), String> {
                     if e.is_retryable() && attempt < retries {
                         attempt += 1;
                         eprintln!("retryable: {e}; retrying submit ({attempt}/{retries})");
-                        drop(stream);
                         std::thread::sleep(std::time::Duration::from_millis(
                             50u64 << attempt.min(5),
                         ));

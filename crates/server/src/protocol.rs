@@ -155,58 +155,56 @@ impl FrameReader {
     /// See [`FrameError`]; clean EOF is [`FrameError::Closed`] only
     /// between frames, [`FrameError::Truncated`] inside one.
     pub fn poll(&mut self, reader: &mut impl Read) -> Result<Option<JsonValue>, FrameError> {
-        loop {
-            // Phase 1: the 4-byte length prefix.
-            while self.payload_need.is_none() {
-                match reader.read(&mut self.header[self.header_got..]) {
-                    Ok(0) => {
-                        return Err(if self.header_got == 0 {
-                            FrameError::Closed
-                        } else {
-                            FrameError::Truncated
-                        });
-                    }
-                    Ok(n) => {
-                        self.header_got += n;
-                        if self.header_got == 4 {
-                            let len = u32::from_be_bytes(self.header) as usize;
-                            if len > MAX_FRAME {
-                                // Reset so the caller *could* keep the
-                                // connection; the daemon closes it (the
-                                // stream still carries the lied-about
-                                // payload).
-                                self.header_got = 0;
-                                return Err(FrameError::TooLarge(len));
-                            }
-                            self.payload = Vec::with_capacity(len);
-                            self.payload_need = Some(len);
+        // Phase 1: the 4-byte length prefix.
+        while self.payload_need.is_none() {
+            match reader.read(&mut self.header[self.header_got..]) {
+                Ok(0) => {
+                    return Err(if self.header_got == 0 {
+                        FrameError::Closed
+                    } else {
+                        FrameError::Truncated
+                    });
+                }
+                Ok(n) => {
+                    self.header_got += n;
+                    if self.header_got == 4 {
+                        let len = u32::from_be_bytes(self.header) as usize;
+                        if len > MAX_FRAME {
+                            // Reset so the caller *could* keep the
+                            // connection; the daemon closes it (the
+                            // stream still carries the lied-about
+                            // payload).
+                            self.header_got = 0;
+                            return Err(FrameError::TooLarge(len));
                         }
+                        self.payload = Vec::with_capacity(len);
+                        self.payload_need = Some(len);
                     }
-                    Err(e) => return self.map_read_error(e),
                 }
+                Err(e) => return self.map_read_error(e),
             }
-
-            // Phase 2: the payload.
-            let need = self.payload_need.expect("set in phase 1");
-            while self.payload.len() < need {
-                let mut chunk = [0u8; 64 * 1024];
-                let want = (need - self.payload.len()).min(chunk.len());
-                match reader.read(&mut chunk[..want]) {
-                    Ok(0) => return Err(FrameError::Truncated),
-                    Ok(n) => self.payload.extend_from_slice(&chunk[..n]),
-                    Err(e) => return self.map_read_error(e),
-                }
-            }
-
-            // Frame complete: reset state BEFORE parsing, so a parse
-            // error leaves the reader aligned on the next frame.
-            self.header_got = 0;
-            self.payload_need = None;
-            let payload = std::mem::take(&mut self.payload);
-            let text = String::from_utf8(payload)
-                .map_err(|_| FrameError::Malformed("payload is not UTF-8".to_string()))?;
-            return Ok(Some(json::parse(&text)?));
         }
+
+        // Phase 2: the payload.
+        let need = self.payload_need.expect("set in phase 1");
+        while self.payload.len() < need {
+            let mut chunk = [0u8; 64 * 1024];
+            let want = (need - self.payload.len()).min(chunk.len());
+            match reader.read(&mut chunk[..want]) {
+                Ok(0) => return Err(FrameError::Truncated),
+                Ok(n) => self.payload.extend_from_slice(&chunk[..n]),
+                Err(e) => return self.map_read_error(e),
+            }
+        }
+
+        // Frame complete: reset state BEFORE parsing, so a parse
+        // error leaves the reader aligned on the next frame.
+        self.header_got = 0;
+        self.payload_need = None;
+        let payload = std::mem::take(&mut self.payload);
+        let text = String::from_utf8(payload)
+            .map_err(|_| FrameError::Malformed("payload is not UTF-8".to_string()))?;
+        Ok(Some(json::parse(&text)?))
     }
 
     fn map_read_error(&self, e: io::Error) -> Result<Option<JsonValue>, FrameError> {
@@ -235,7 +233,7 @@ pub fn hex_encode(bytes: &[u8]) -> String {
 ///
 /// Odd length or a non-hex digit, with its position.
 pub fn hex_decode(text: &str) -> Result<Vec<u8>, String> {
-    if text.len() % 2 != 0 {
+    if !text.len().is_multiple_of(2) {
         return Err("hex string has odd length".to_string());
     }
     let digits = text.as_bytes();
@@ -569,9 +567,13 @@ impl ErrorCode {
     pub fn is_retryable(self) -> bool {
         matches!(self, ErrorCode::QueueFull | ErrorCode::Draining)
     }
+}
+
+impl std::str::FromStr for ErrorCode {
+    type Err = String;
 
     /// Parse a wire name.
-    pub fn from_str(text: &str) -> Option<ErrorCode> {
+    fn from_str(text: &str) -> Result<ErrorCode, String> {
         [
             ErrorCode::MalformedFrame,
             ErrorCode::FrameTooLarge,
@@ -584,6 +586,7 @@ impl ErrorCode {
         ]
         .into_iter()
         .find(|code| code.as_str() == text)
+        .ok_or_else(|| format!("unknown error code {text:?}"))
     }
 }
 
@@ -858,8 +861,7 @@ impl Response {
             "error" => {
                 let code = str_member("code")?;
                 Ok(Response::Error {
-                    code: ErrorCode::from_str(&code)
-                        .ok_or_else(|| format!("unknown error code {code:?}"))?,
+                    code: code.parse()?,
                     message: str_member("message")?,
                 })
             }
@@ -1185,9 +1187,9 @@ mod tests {
             ErrorCode::QueueFull,
             ErrorCode::Draining,
         ] {
-            assert_eq!(ErrorCode::from_str(code.as_str()), Some(code));
+            assert_eq!(code.as_str().parse(), Ok(code));
         }
-        assert_eq!(ErrorCode::from_str("nope"), None);
+        assert!("nope".parse::<ErrorCode>().is_err());
     }
 
     #[test]

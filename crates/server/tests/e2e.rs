@@ -328,7 +328,6 @@ fn admission_control_refuses_oversized_submits_whole() {
         Some(Err(e)) => assert!(e.to_string().contains(ErrorCode::QueueFull.as_str()), "{e}"),
         other => panic!("expected queue_full, got {other:?}"),
     }
-    drop(refused);
     let status = client.status().expect("status");
     assert_eq!(
         counter(&status, "jobs_done"),

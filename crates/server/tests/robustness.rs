@@ -134,6 +134,26 @@ fn malformed_frames_yield_structured_errors_never_panics_or_hangs() {
         expect_error(&mut conn, ErrorCode::InvalidModule);
     }
 
+    // 8. A 52-byte upload declaring millions of locals (four functions
+    //    of 999,990 `i64`s): refused at decode with invalid_module, before
+    //    anything is allocated for them, and the connection survives.
+    {
+        let mut bomb = wasabi_wasm::Module::new();
+        for _ in 0..4 {
+            bomb.add_function(
+                wasabi_wasm::FuncType::new(&[], &[]),
+                vec![wasabi_wasm::ValType::I64; 999_990],
+                vec![wasabi_wasm::Instr::End],
+            );
+        }
+        let bytes = wasabi_wasm::encode::encode(&bomb);
+        let mut conn = connect(&path);
+        write_frame(&mut conn, &Request::Upload { bytes }.to_json()).expect("writes");
+        expect_error(&mut conn, ErrorCode::InvalidModule);
+        write_frame(&mut conn, &Request::Status.to_json()).expect("writes");
+        assert!(read_frame(&mut conn).is_ok(), "connection survives");
+    }
+
     // After all of the above abuse the daemon still does real work.
     let mut client = Client::connect_unix(&path).expect("connects");
     let status = client.status().expect("status");

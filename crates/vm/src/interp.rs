@@ -243,11 +243,14 @@ impl TranslatedModule {
     /// validates only the original module (instrumenters type-check while
     /// injecting, so re-checking their output would be pure overhead).
     ///
+    /// `module` may be an `Arc<Module>` held elsewhere: the translation
+    /// then shares it rather than owning a copy.
+    ///
     /// # Errors
     ///
     /// Fails if the (original) module does not validate.
     pub fn new_instrumented(
-        module: Module,
+        module: impl Into<Arc<Module>>,
         funcs: &[Option<InstrumentedFunc>],
         hook_imports: Vec<HookImport>,
     ) -> Result<Self, wasabi_wasm::ValidationError> {
@@ -268,11 +271,12 @@ impl TranslatedModule {
     ///
     /// Fails if the (original) module does not validate.
     pub fn new_instrumented_with_threads(
-        module: Module,
+        module: impl Into<Arc<Module>>,
         funcs: &[Option<InstrumentedFunc>],
         hook_imports: Vec<HookImport>,
         threads: usize,
     ) -> Result<(Self, std::time::Duration), wasabi_wasm::ValidationError> {
+        let module = module.into();
         validate(&module)?;
         let (code, busy_nanos) = flat::translate_module_parallel(
             &module,
@@ -283,7 +287,7 @@ impl TranslatedModule {
         );
         Ok((
             TranslatedModule {
-                module: Arc::new(module),
+                module,
                 code: Arc::new(code),
             },
             std::time::Duration::from_nanos(busy_nanos),
@@ -346,14 +350,15 @@ impl TranslatedModule {
     /// when the module itself does not validate — callers fall back to a
     /// clean rebuild.
     #[must_use]
-    pub fn from_encoded_code(module: Module, bytes: &[u8]) -> Option<Self> {
+    pub fn from_encoded_code(module: impl Into<Arc<Module>>, bytes: &[u8]) -> Option<Self> {
+        let module = module.into();
         validate(&module).ok()?;
         let code = crate::codec::decode(bytes)?;
         if code.funcs.len() != module.functions.len() {
             return None;
         }
         Some(TranslatedModule {
-            module: Arc::new(module),
+            module,
             code: Arc::new(code),
         })
     }
@@ -1623,6 +1628,35 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r, vec![Val::I32(50)]);
+    }
+
+    #[test]
+    fn function_at_the_decoders_locals_cap_translates_and_runs() {
+        use wasabi_wasm::decode::{decode, MAX_FUNCTION_LOCALS};
+        // One `i64` parameter plus locals up to the cap; the result reads
+        // the last local (still zero) plus the parameter.
+        let mut builder = ModuleBuilder::new();
+        builder.function("f", &[ValType::I64], &[ValType::I64], |f| {
+            let mut last = f.local(ValType::I64);
+            for _ in 2..MAX_FUNCTION_LOCALS {
+                last = f.local(ValType::I64);
+            }
+            f.get_local(last)
+                .get_local(0u32)
+                .binary(BinaryOp::I64Add)
+                .set_local(last)
+                .get_local(last);
+        });
+        let bytes = wasabi_wasm::encode::encode(&builder.finish());
+        let module = decode(&bytes).expect("decodes at the cap");
+        let translated = TranslatedModule::new(module).expect("translates");
+        let mut host = EmptyHost;
+        let mut instance = Instance::instantiate_translated(&translated, &mut host).unwrap();
+        for x in [5, 7] {
+            // A second call starts from fresh zero locals again.
+            let result = instance.invoke_export("f", &[Val::I64(x)], &mut host);
+            assert_eq!(result, Ok(vec![Val::I64(x)]));
+        }
     }
 
     #[test]

@@ -394,7 +394,7 @@ fn trunc_s32(v: f64) -> Result<i32, Trap> {
         return Err(Trap::InvalidConversionToInteger);
     }
     let t = v.trunc();
-    if t < -2147483648.0 || t > 2147483647.0 {
+    if !(-2147483648.0..=2147483647.0).contains(&t) {
         return Err(Trap::InvalidConversionToInteger);
     }
     Ok(t as i32)
@@ -405,7 +405,7 @@ fn trunc_u32(v: f64) -> Result<i32, Trap> {
         return Err(Trap::InvalidConversionToInteger);
     }
     let t = v.trunc();
-    if t < 0.0 || t > 4294967295.0 {
+    if !(0.0..=4294967295.0).contains(&t) {
         return Err(Trap::InvalidConversionToInteger);
     }
     Ok(t as u32 as i32)
@@ -417,7 +417,7 @@ fn trunc_s64(v: f64) -> Result<i64, Trap> {
     }
     let t = v.trunc();
     // 2^63 is exactly representable; i64::MAX is not. Valid: [-2^63, 2^63).
-    if t < -9223372036854775808.0 || t >= 9223372036854775808.0 {
+    if !(-9223372036854775808.0..9223372036854775808.0).contains(&t) {
         return Err(Trap::InvalidConversionToInteger);
     }
     Ok(t as i64)
@@ -428,7 +428,7 @@ fn trunc_u64(v: f64) -> Result<i64, Trap> {
         return Err(Trap::InvalidConversionToInteger);
     }
     let t = v.trunc();
-    if t < 0.0 || t >= 18446744073709551616.0 {
+    if !(0.0..18446744073709551616.0).contains(&t) {
         return Err(Trap::InvalidConversionToInteger);
     }
     Ok(t as u64 as i64)

@@ -21,6 +21,16 @@ pub const MAGIC: [u8; 4] = [0x00, 0x61, 0x73, 0x6d];
 /// Binary format version 1 (little-endian u32).
 pub const VERSION: [u8; 4] = [0x01, 0x00, 0x00, 0x00];
 
+/// Most parameters plus locals one function may declare (the WebAssembly
+/// JS API's implementation limit). The VM keeps a 16-byte zero slot per
+/// declared local and copies them on every call, so without a cap a
+/// 52-byte upload could ask for tens of megabytes.
+pub const MAX_FUNCTION_LOCALS: usize = 50_000;
+
+/// Most locals all functions of one module may declare together: at
+/// 16 bytes a slot, a module's zero slots stay within 16 MB.
+pub const MAX_MODULE_LOCALS: usize = 1_000_000;
+
 /// Decode a WebAssembly binary into a [`Module`].
 ///
 /// # Errors
@@ -417,27 +427,33 @@ impl<'a> Decoder<'a> {
                 "function and code section disagree",
             )));
         }
+        let mut module_locals = 0;
         for i in 0..count {
             let size = self.r.u32()? as usize;
             let body_end = self.r.pos() + size;
+            let ast_index = self.local_function_indices[i];
+            let params = self.module.functions[ast_index].type_.params.len();
 
             let local_group_count = self.r.u32()? as usize;
             let mut locals = Vec::new();
             for _ in 0..local_group_count {
                 let n = self.r.u32()? as usize;
                 let ty = self.val_type()?;
-                if locals.len() + n > 1_000_000 {
+                let declared = locals.len() + n;
+                if params + declared > MAX_FUNCTION_LOCALS
+                    || module_locals + declared > MAX_MODULE_LOCALS
+                {
                     return Err(self.err(DecodeErrorKind::Malformed("too many locals")));
                 }
-                locals.extend(std::iter::repeat(ty).take(n));
+                locals.extend(std::iter::repeat_n(ty, n));
             }
+            module_locals += locals.len();
 
             let body = self.instr_seq()?;
             if self.r.pos() != body_end {
                 return Err(self.err(DecodeErrorKind::SizeMismatch));
             }
 
-            let ast_index = self.local_function_indices[i];
             self.module.functions[ast_index].kind = FunctionKind::Local(Code { locals, body });
         }
         Ok(())
@@ -616,6 +632,57 @@ mod tests {
         bytes.extend_from_slice(&[1, 1, 0]);
         let err = decode(&bytes).expect_err("must fail");
         assert!(matches!(err.kind(), DecodeErrorKind::InvalidSection(1)));
+    }
+
+    /// `functions` functions of type `() -> ()` with `locals` `i64` locals
+    /// each and an empty body, encoded.
+    fn many_locals(functions: usize, locals: usize) -> Vec<u8> {
+        let mut module = Module::new();
+        for _ in 0..functions {
+            module.add_function(
+                FuncType::new(&[], &[]),
+                vec![ValType::I64; locals],
+                vec![Instr::End],
+            );
+        }
+        crate::encode::encode(&module)
+    }
+
+    #[test]
+    fn huge_local_declarations_are_rejected() {
+        // A 52-byte module declaring about four million locals.
+        let bomb = many_locals(4, 999_990);
+        assert!(bomb.len() <= 64, "{} bytes", bomb.len());
+        let err = decode(&bomb).expect_err("must fail");
+        assert_eq!(err.kind(), DecodeErrorKind::Malformed("too many locals"));
+
+        // Parameters count against the per-function cap.
+        let mut module = Module::new();
+        module.add_function(
+            FuncType::new(&[ValType::I32], &[]),
+            vec![ValType::I64; MAX_FUNCTION_LOCALS],
+            vec![Instr::End],
+        );
+        let err = decode(&crate::encode::encode(&module)).expect_err("must fail");
+        assert_eq!(err.kind(), DecodeErrorKind::Malformed("too many locals"));
+
+        // Functions each within their cap, together over the module's.
+        let per_function = MAX_FUNCTION_LOCALS;
+        let functions = MAX_MODULE_LOCALS / per_function + 1;
+        let err = decode(&many_locals(functions, per_function)).expect_err("must fail");
+        assert_eq!(err.kind(), DecodeErrorKind::Malformed("too many locals"));
+    }
+
+    #[test]
+    fn locals_up_to_the_caps_decode() {
+        let module = decode(&many_locals(1, MAX_FUNCTION_LOCALS)).expect("decodes");
+        assert_eq!(
+            module.functions[0].code().expect("local").locals.len(),
+            MAX_FUNCTION_LOCALS
+        );
+        let functions = MAX_MODULE_LOCALS / MAX_FUNCTION_LOCALS;
+        let module = decode(&many_locals(functions, MAX_FUNCTION_LOCALS)).expect("decodes");
+        assert_eq!(module.functions.len(), functions);
     }
 
     #[test]

@@ -557,18 +557,11 @@ impl<'a> Encoder<'a> {
             Instr::Drop => out.push(0x1a),
             Instr::Select => out.push(0x1b),
             Instr::Local(op, idx) => {
-                out.push(match op {
-                    crate::instr::LocalOp::Get => 0x20,
-                    crate::instr::LocalOp::Set => 0x21,
-                    crate::instr::LocalOp::Tee => 0x22,
-                });
+                out.push(op.opcode());
                 leb128::write_u32(out, idx.to_u32());
             }
             Instr::Global(op, idx) => {
-                out.push(match op {
-                    crate::instr::GlobalOp::Get => 0x23,
-                    crate::instr::GlobalOp::Set => 0x24,
-                });
+                out.push(op.opcode());
                 leb128::write_u32(out, self.globals.binary_index(idx.to_u32()));
             }
             Instr::Load(op, memarg) => {

@@ -636,50 +636,63 @@ impl StoreOp {
     }
 }
 
-/// Operations on locals: `get_local`, `set_local`, `tee_local`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum LocalOp {
-    Get,
-    Set,
-    Tee,
+op_enum! {
+    /// Operations on locals: `get_local`, `set_local`, `tee_local`.
+    LocalOp {
+        Get = 0x20, "get_local";
+        Set = 0x21, "set_local";
+        Tee = 0x22, "tee_local";
+    }
 }
 
-impl LocalOp {
-    pub fn name(self) -> &'static str {
-        match self {
-            LocalOp::Get => "get_local",
-            LocalOp::Set => "set_local",
-            LocalOp::Tee => "tee_local",
+op_enum! {
+    /// Operations on globals: `get_global`, `set_global`.
+    GlobalOp {
+        Get = 0x23, "get_global";
+        Set = 0x24, "set_global";
+    }
+}
+
+/// The text-format mnemonic of the MVP instruction whose binary opcode is
+/// `opcode`, or `None` if no MVP instruction has that opcode.
+///
+/// Counters keyed by opcode name their entries through this when they
+/// report, instead of comparing mnemonic strings on every event (the
+/// instruction-mix analysis keeps a `[u64; 256]` this way).
+pub fn mnemonic(opcode: u8) -> Option<&'static str> {
+    let name = match opcode {
+        0x00 => "unreachable",
+        0x01 => "nop",
+        0x02 => "block",
+        0x03 => "loop",
+        0x04 => "if",
+        0x05 => "else",
+        0x0b => "end",
+        0x0c => "br",
+        0x0d => "br_if",
+        0x0e => "br_table",
+        0x0f => "return",
+        0x10 => "call",
+        0x11 => "call_indirect",
+        0x1a => "drop",
+        0x1b => "select",
+        0x3f => "memory.size",
+        0x40 => "memory.grow",
+        0x41 => "i32.const",
+        0x42 => "i64.const",
+        0x43 => "f32.const",
+        0x44 => "f64.const",
+        _ => {
+            return LocalOp::from_opcode(opcode)
+                .map(LocalOp::name)
+                .or_else(|| GlobalOp::from_opcode(opcode).map(GlobalOp::name))
+                .or_else(|| LoadOp::from_opcode(opcode).map(LoadOp::name))
+                .or_else(|| StoreOp::from_opcode(opcode).map(StoreOp::name))
+                .or_else(|| UnaryOp::from_opcode(opcode).map(UnaryOp::name))
+                .or_else(|| BinaryOp::from_opcode(opcode).map(BinaryOp::name));
         }
-    }
-}
-
-impl fmt::Display for LocalOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Operations on globals: `get_global`, `set_global`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum GlobalOp {
-    Get,
-    Set,
-}
-
-impl GlobalOp {
-    pub fn name(self) -> &'static str {
-        match self {
-            GlobalOp::Get => "get_global",
-            GlobalOp::Set => "set_global",
-        }
-    }
-}
-
-impl fmt::Display for GlobalOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
+    };
+    Some(name)
 }
 
 /// A single WebAssembly instruction (paper Fig. 3, `instr`).
@@ -830,6 +843,27 @@ mod tests {
         for &op in StoreOp::ALL {
             assert_eq!(StoreOp::from_opcode(op.opcode()), Some(op));
         }
+    }
+
+    #[test]
+    fn local_global_opcode_roundtrip() {
+        for &op in LocalOp::ALL {
+            assert_eq!(LocalOp::from_opcode(op.opcode()), Some(op));
+        }
+        for &op in GlobalOp::ALL {
+            assert_eq!(GlobalOp::from_opcode(op.opcode()), Some(op));
+        }
+    }
+
+    #[test]
+    fn mnemonic_names_every_mvp_opcode_once() {
+        // 21 opcodes without an op enum, plus 3 + 2 + 14 + 9 + 47 + 76.
+        let named: Vec<&str> = (0..=u8::MAX).filter_map(mnemonic).collect();
+        assert_eq!(named.len(), 21 + 3 + 2 + 14 + 9 + 47 + 76);
+        let distinct: std::collections::BTreeSet<&str> = named.iter().copied().collect();
+        assert_eq!(distinct.len(), named.len());
+        assert_eq!(mnemonic(0x06), None);
+        assert_eq!(mnemonic(0xc0), None);
     }
 
     #[test]
