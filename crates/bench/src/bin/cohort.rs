@@ -30,6 +30,7 @@ use wasabi::fleet::Job;
 use wasabi::hooks::Analysis;
 use wasabi::Wasabi;
 use wasabi_analyses::registry;
+use wasabi_bench::BenchArgs;
 use wasabi_wasm::builder::ModuleBuilder;
 use wasabi_wasm::instr::Val;
 use wasabi_wasm::module::Module;
@@ -162,24 +163,11 @@ fn median<F: FnMut() -> (Vec<Vec<Val>>, Row)>(mut run: F, rounds: usize) -> (Vec
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let out_path = raw
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| raw.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_cohort.json".to_string());
+    let args = BenchArgs::parse("BENCH_cohort.json");
+    let smoke = args.smoke;
     let default_inputs: usize = if smoke { 40 } else { 100 };
     let rounds: usize = if smoke { 3 } else { 5 };
-    let input_count: usize = raw
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || raw[i - 1] != "--out"))
-        .map(|(_, a)| a)
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_inputs);
+    let input_count: usize = args.positional(0, default_inputs);
 
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -244,6 +232,6 @@ fn main() {
         );
     }
     json.push_str("]}");
-    std::fs::write(&out_path, &json).expect("write cohort json");
-    println!("wrote {out_path}");
+    std::fs::write(&args.out, &json).expect("write cohort json");
+    println!("wrote {}", args.out);
 }

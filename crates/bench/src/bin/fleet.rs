@@ -27,6 +27,7 @@ use std::time::Duration;
 use wasabi::cache::ModuleCache;
 use wasabi::fleet::Job;
 use wasabi_analyses::registry;
+use wasabi_bench::BenchArgs;
 use wasabi_wasm::module::Module;
 use wasabi_workloads::{compile, polybench};
 
@@ -118,19 +119,8 @@ fn run_once(
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let out_path = raw
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| raw.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fleet.json".to_string());
-    let mut positional = raw
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || raw[i - 1] != "--out"))
-        .map(|(_, a)| a);
+    let args = BenchArgs::parse("BENCH_fleet.json");
+    let smoke = args.smoke;
     // Small n on purpose: per-job execution stays cheap, so the numbers
     // contrast the cache + scheduling, not the kernels.
     let default_n: u32 = if smoke { 4 } else { 6 };
@@ -141,14 +131,8 @@ fn main() {
     let default_kernels: usize = if smoke { 2 } else { polybench::NAMES.len() };
     let repeats: usize = if smoke { 2 } else { 1 };
     let rounds: usize = if smoke { 1 } else { 3 };
-    let polybench_n: u32 = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_n);
-    let kernel_count: usize = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_kernels);
+    let polybench_n: u32 = args.positional(0, default_n);
+    let kernel_count: usize = args.positional(1, default_kernels);
 
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -274,6 +258,6 @@ fn main() {
         );
     }
     json.push_str("]}");
-    std::fs::write(&out_path, &json).expect("write fleet json");
-    println!("wrote {out_path}");
+    std::fs::write(&args.out, &json).expect("write fleet json");
+    println!("wrote {}", args.out);
 }

@@ -8,9 +8,8 @@
 //!   every plan is a no-op, so the instantiation-time `is_noop` mask drops
 //!   each call before argument marshalling,
 //! - **intrinsic** (rewrite + intrinsics): the binary-rewritten module on
-//!   `Op::HostCall`/`Op::HostCallConst` dispatch plus the runtime's
-//!   zero-subscriber skip (`NoAnalysis` listens to nothing, like Fig. 9's
-//!   no-op analysis),
+//!   `Op::HostCall` dispatch plus the runtime's zero-subscriber skip
+//!   (`NoAnalysis` listens to nothing, like Fig. 9's no-op analysis),
 //! - **generic** (pre-intrinsic): the generic call machinery with full
 //!   event construction (`AllHooksNop` subscribes to everything).
 //!
@@ -34,36 +33,22 @@ use std::fmt::Write as _;
 use wasabi::hooks::HookSet;
 use wasabi_bench::{
     geomean, run_direct_amortized, run_flat_amortized, run_instrumented_amortized,
-    run_instrumented_generic_amortized, FIGURE_HOOK_GROUPS,
+    run_instrumented_generic_amortized, BenchArgs, FIGURE_HOOK_GROUPS,
 };
 use wasabi_vm::TranslatedModule;
 use wasabi_workloads::{compile, polybench};
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let out_path = raw
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| raw.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_overhead.json".to_string());
-    let mut positional = raw
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || raw[i - 1] != "--out"))
-        .map(|(_, a)| a);
+    let args = BenchArgs::parse("BENCH_overhead.json");
+    let smoke = args.smoke;
     // Keep n and the invocation count at the full values even in smoke
     // mode: the overhead is a ratio, and the CI gate compares it per
     // kernel against the committed baseline — only the kernel count and
     // the per-hook-group sweep shrink.
     let default_kernels: usize = if smoke { 3 } else { 8 };
     let invocations: usize = 4;
-    let polybench_n: u32 = positional.next().and_then(|a| a.parse().ok()).unwrap_or(12);
-    let kernel_count: usize = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_kernels);
+    let polybench_n: u32 = args.positional(0, 12);
+    let kernel_count: usize = args.positional(1, default_kernels);
 
     let kernels: Vec<(&str, wasabi_wasm::Module)> = polybench::NAMES
         .iter()
@@ -273,6 +258,6 @@ fn main() {
          \"improvement\":{improvement:.3},\
          \"direct_vs_rewrite\":{direct_vs_rewrite:.3}}}}}"
     );
-    std::fs::write(&out_path, &json).expect("write overhead json");
-    println!("wrote {out_path}");
+    std::fs::write(&args.out, &json).expect("write overhead json");
+    println!("wrote {}", args.out);
 }

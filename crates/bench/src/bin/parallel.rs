@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 use wasabi::cache::{content_key, ModuleCache};
 use wasabi::hooks::HookSet;
 use wasabi::{DiskCache, Instrumenter};
+use wasabi_bench::BenchArgs;
 use wasabi_wasm::module::Module;
 use wasabi_workloads::{compile, polybench};
 
@@ -98,33 +99,16 @@ fn start_process(
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let out_path = raw
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| raw.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_parallel.json".to_string());
-    let mut positional = raw
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || raw[i - 1] != "--out"))
-        .map(|(_, a)| a);
+    let args = BenchArgs::parse("BENCH_parallel.json");
+    let smoke = args.smoke;
     let default_n: u32 = if smoke { 4 } else { 6 };
     let default_kernels: usize = if smoke { 2 } else { polybench::NAMES.len() };
     // Enough build repetitions that a pass is comfortably above timer
     // noise even though one kernel builds in well under a millisecond.
     let repeats: usize = if smoke { 3 } else { 20 };
     let rounds: usize = if smoke { 1 } else { 3 };
-    let polybench_n: u32 = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_n);
-    let kernel_count: usize = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_kernels);
+    let polybench_n: u32 = args.positional(0, default_n);
+    let kernel_count: usize = args.positional(1, default_kernels);
 
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -273,6 +257,6 @@ fn main() {
         );
     }
     json.push_str("]}");
-    std::fs::write(&out_path, &json).expect("write parallel json");
-    println!("wrote {out_path}");
+    std::fs::write(&args.out, &json).expect("write parallel json");
+    println!("wrote {}", args.out);
 }

@@ -17,6 +17,7 @@ use std::time::Instant;
 
 use wasabi::{stats, AnalysisSession, Wasabi};
 use wasabi_analyses::registry;
+use wasabi_bench::BenchArgs;
 use wasabi_workloads::{compile, polybench};
 
 struct KernelResult {
@@ -28,29 +29,12 @@ struct KernelResult {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--smoke");
-    let out_path = raw
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| raw.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_pipeline.json".to_string());
-    let mut positional = raw
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || raw[i - 1] != "--out"))
-        .map(|(_, a)| a);
+    let args = BenchArgs::parse("BENCH_pipeline.json");
+    let smoke = args.smoke;
     let default_n: u32 = if smoke { 6 } else { 12 };
     let default_kernels: usize = if smoke { 2 } else { 8 };
-    let polybench_n: u32 = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_n);
-    let kernel_count: usize = positional
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default_kernels);
+    let polybench_n: u32 = args.positional(0, default_n);
+    let kernel_count: usize = args.positional(1, default_kernels);
 
     println!(
         "Pipeline baseline: 8 Table-4 analyses fused vs. sequential \
@@ -142,6 +126,6 @@ fn main() {
         );
     }
     json.push_str("]}");
-    std::fs::write(&out_path, &json).expect("write baseline json");
-    println!("wrote {out_path}");
+    std::fs::write(&args.out, &json).expect("write baseline json");
+    println!("wrote {}", args.out);
 }

@@ -23,13 +23,14 @@
 //! | `fleet` | batch engine: shared translated-module cache + work-stealing workers, cold vs. warm, 1 worker vs. all cores | `BENCH_fleet.json` |
 //!
 //! Every extension binary accepts `--smoke` (a seconds-scale workload for
-//! CI) and `--out <path>`; run them in release mode, e.g.
+//! CI) and `--out <path>` ([`BenchArgs`]); run them in release mode, e.g.
 //! `cargo run --release -p wasabi-bench --bin fleet`.
 //!
 //! The library part of this crate holds what the binaries share: the
-//! [`FIGURE_HOOK_GROUPS`] x-axis of Figures 8/9, workload construction
-//! ([`subjects`]), and the measurement helpers
-//! ([`run_original`], [`run_instrumented`], [`instrumentation_stats`], …).
+//! [`FIGURE_HOOK_GROUPS`] x-axis of Figures 8/9, the command line
+//! ([`BenchArgs`]), workload construction ([`subjects`]), and the
+//! measurement helpers ([`run_original`], [`run_instrumented`],
+//! [`instrumentation_stats`], …).
 
 use std::time::{Duration, Instant};
 
@@ -139,7 +140,7 @@ pub struct RunMeasurement {
     /// metric that complements wall time).
     pub vm_instrs: u64,
     /// Host calls dispatched through the VM's host-call intrinsic fast
-    /// path (`Op::HostCall`/`Op::HostCallConst`).
+    /// path (`Op::HostCall`).
     pub host_calls_fast: u64,
     /// Host calls dispatched through the generic call machinery.
     pub host_calls_slow: u64,
@@ -376,6 +377,55 @@ pub fn run_instrumented_generic_amortized(
     RunMeasurement::from_instance(start.elapsed(), &instance)
 }
 
+/// The command line of the extension binaries: positional arguments,
+/// `--out <path>` and `--smoke`, in any order. Other `--` flags are
+/// ignored.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BenchArgs {
+    /// `--smoke`: the seconds-scale CI workload.
+    pub smoke: bool,
+    /// The path after `--out`, or the binary's default output path.
+    pub out: String,
+    positional: Vec<String>,
+}
+
+impl BenchArgs {
+    /// Parse the process arguments; `default_out` is the output path when
+    /// `--out` is absent.
+    pub fn parse(default_out: &str) -> Self {
+        Self::from_args(std::env::args().skip(1).collect(), default_out)
+    }
+
+    fn from_args(raw: Vec<String>, default_out: &str) -> Self {
+        let out = raw
+            .iter()
+            .position(|a| a == "--out")
+            .and_then(|i| raw.get(i + 1))
+            .cloned()
+            .unwrap_or_else(|| default_out.to_string());
+        let positional = raw
+            .iter()
+            .enumerate()
+            .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || raw[i - 1] != "--out"))
+            .map(|(_, a)| a.clone())
+            .collect();
+        BenchArgs {
+            smoke: raw.iter().any(|a| a == "--smoke"),
+            out,
+            positional,
+        }
+    }
+
+    /// The `index`-th positional argument, or `default` when it is absent
+    /// or does not parse.
+    pub fn positional<T: std::str::FromStr>(&self, index: usize, default: T) -> T {
+        self.positional
+            .get(index)
+            .and_then(|a| a.parse().ok())
+            .unwrap_or(default)
+    }
+}
+
 /// Geometric mean.
 pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
     let (sum, n) = values
@@ -403,6 +453,24 @@ pub fn format_bytes(bytes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_args_split_flags_from_positionals() {
+        let args = |raw: &[&str]| {
+            BenchArgs::from_args(raw.iter().map(|a| a.to_string()).collect(), "BENCH_x.json")
+        };
+        let parsed = args(&["8", "--out", "/tmp/o.json", "--smoke", "3"]);
+        assert!(parsed.smoke);
+        assert_eq!(parsed.out, "/tmp/o.json");
+        assert_eq!(parsed.positional(0, 1u32), 8);
+        assert_eq!(parsed.positional(1, 1usize), 3);
+        assert_eq!(parsed.positional(2, 7usize), 7);
+
+        let defaults = args(&["--out"]);
+        assert!(!defaults.smoke);
+        assert_eq!(defaults.out, "BENCH_x.json");
+        assert_eq!(args(&["x"]).positional(0, 5u32), 5);
+    }
 
     #[test]
     fn hook_groups_cover_everything_but_start_and_split_call() {

@@ -62,7 +62,7 @@ use crate::runtime::AnalysisSession;
 use crate::stats;
 
 /// Bump on ANY change to this layout or to the VM code codec.
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 4] = b"WSBC";
 

@@ -88,7 +88,7 @@ pub use hooks::{Analysis, BlockKind, Hook, HookSet, MemArg, NoAnalysis};
 pub use info::ModuleInfo;
 pub use instrument::{instrument, Instrumenter};
 pub use location::{BranchTarget, Location};
-pub use pipeline::{InstrumentationMode, Pipeline, PipelineBuilder, Wasabi};
+pub use pipeline::{Pipeline, PipelineBuilder, Wasabi};
 pub use report::{JsonValue, Report};
 pub use runtime::{AnalysisError, AnalysisSession, WasabiHost};
 pub use wasabi_vm::{Budget, CancelToken, CohortRunner, RunOutcome, DEFAULT_COHORT_CHUNK};

@@ -77,38 +77,12 @@ impl Wasabi {
     }
 }
 
-/// Which of the two instrumentation paths a build uses.
-///
-/// Both produce behaviorally identical sessions (the three-way
-/// differential oracle in `tests/instrumented_differential.rs` pins this);
-/// they differ in *how* hook calls come to exist:
-///
-/// - [`DirectEmit`](InstrumentationMode::DirectEmit) (default): hook calls
-///   are emitted straight into the VM's flat IR while translating the
-///   *uninstrumented* module — no binary rewrite, no re-encode, no
-///   translation of a bloated module. Hooks the host never subscribes to
-///   are additionally retired at the dispatch arm (`Host::is_noop`).
-/// - [`Rewrite`](InstrumentationMode::Rewrite): the paper's §2.4 binary
-///   rewriting — produce an instrumented [`Module`] with real hook
-///   imports, then translate it. This is the product path for emitting
-///   standalone instrumented `.wasm` files and the oracle the direct path
-///   is differentially tested against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InstrumentationMode {
-    /// Fused instrument+translate straight from the original module.
-    #[default]
-    DirectEmit,
-    /// Binary rewriting (paper §2.4), then translation of the result.
-    Rewrite,
-}
-
 /// Builder collecting analyses and instrumentation options; `build`
 /// instruments the module once for the union of all hook sets.
 #[derive(Default)]
 pub struct PipelineBuilder<'a> {
     analyses: Vec<&'a mut dyn Analysis>,
     threads: Option<usize>,
-    mode: InstrumentationMode,
     budget: Option<Budget>,
 }
 
@@ -118,16 +92,8 @@ impl<'a> PipelineBuilder<'a> {
         PipelineBuilder {
             analyses: Vec::new(),
             threads: None,
-            mode: InstrumentationMode::default(),
             budget: None,
         }
-    }
-
-    /// Select the instrumentation path (default:
-    /// [`InstrumentationMode::DirectEmit`]).
-    pub fn mode(mut self, mode: InstrumentationMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Register an analysis. Events are dispatched to analyses in
@@ -175,17 +141,8 @@ impl<'a> PipelineBuilder<'a> {
         if let Some(threads) = self.threads {
             instrumenter = instrumenter.threads(threads);
         }
-        let session = match self.mode {
-            InstrumentationMode::DirectEmit => {
-                let (translated, info) = instrumenter.run_direct(module.clone())?;
-                AnalysisSession::from_direct(translated, info)
-            }
-            InstrumentationMode::Rewrite => {
-                let (instrumented, info) = instrumenter.run(module)?;
-                AnalysisSession::from_parts(instrumented, info)?
-            }
-        };
-        Ok(self.assemble(Arc::new(session)))
+        let (translated, info) = instrumenter.run_direct(module.clone())?;
+        Ok(self.assemble(Arc::new(AnalysisSession::from_direct(translated, info))))
     }
 
     /// Build a pipeline over an **already instrumented** shared session —
@@ -234,7 +191,6 @@ impl std::fmt::Debug for PipelineBuilder<'_> {
         f.debug_struct("PipelineBuilder")
             .field("analyses", &self.analyses.len())
             .field("threads", &self.threads)
-            .field("mode", &self.mode)
             .finish()
     }
 }
@@ -543,7 +499,7 @@ mod tests {
 
     #[test]
     fn rewrite_mode_matches_direct_emit_default() {
-        // The default build goes through direct-emit; forcing the rewrite
+        // The build goes through direct-emit; a session from the rewrite
         // path must produce identical results, events, and reports.
         let module = module_with_memory();
         let mut direct_mem = MemOps::default();
@@ -556,11 +512,10 @@ mod tests {
             p.run("f", &[]).unwrap()
         };
         let rewrite = {
+            let session = AnalysisSession::new(&module, rewrite_mem.hooks()).unwrap();
             let mut p = Wasabi::builder()
                 .analysis(&mut rewrite_mem)
-                .mode(InstrumentationMode::Rewrite)
-                .build(&module)
-                .unwrap();
+                .build_shared(Arc::new(session));
             p.run("f", &[]).unwrap()
         };
         assert_eq!(direct, rewrite);

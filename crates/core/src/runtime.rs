@@ -619,16 +619,6 @@ impl AnalysisSession {
     /// Fails if the module does not validate.
     pub fn new(module: &Module, hooks: HookSet) -> Result<Self, wasabi_wasm::ValidationError> {
         let (module, info) = instrument(module, hooks)?;
-        Self::from_parts(module, info)
-    }
-
-    /// Bundle an already-instrumented module with its static info (used by
-    /// [`crate::pipeline::PipelineBuilder::build`], which drives the
-    /// instrumenter itself for thread control).
-    pub(crate) fn from_parts(
-        module: Module,
-        info: ModuleInfo,
-    ) -> Result<Self, wasabi_wasm::ValidationError> {
         let start = std::time::Instant::now();
         let translated = TranslatedModule::new(module)?;
         stats::record_translation_time(start.elapsed());

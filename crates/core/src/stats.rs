@@ -85,9 +85,8 @@ pub fn execution_passes() -> u64 {
 }
 
 /// Host calls dispatched through the VM's host-call intrinsic fast path
-/// (`Op::HostCall`/`Op::HostCallConst` — see `wasabi_vm`), summed over
-/// all completed [`crate::AnalysisSession`]/[`crate::Pipeline`] runs of
-/// this process.
+/// (`Op::HostCall` — see `wasabi_vm`), summed over all completed
+/// [`crate::AnalysisSession`]/[`crate::Pipeline`] runs of this process.
 pub fn host_calls_fast() -> u64 {
     HOST_CALLS_FAST.load(Ordering::Relaxed)
 }

@@ -16,8 +16,10 @@
 //!   and signed zeros round-trip exactly),
 //! - the `wasabi_wasm` operation enums serialize as their binary-format
 //!   opcode byte (stable across compiler versions, unlike discriminants),
-//! - [`Op`] variants carry hand-assigned tag bytes; adding a variant means
-//!   bumping the cache layer's format version.
+//! - [`Op`] variants carry hand-assigned tag bytes; adding or changing a
+//!   variant means bumping the cache layer's format version (tags 9 and 11
+//!   belonged to host-call forms since merged into [`Op::HostCall`] and
+//!   stay unassigned).
 
 use wasabi_wasm::instr::{BinaryOp, LoadOp, StoreOp, UnaryOp, Val};
 use wasabi_wasm::types::{FuncType, ValType};
@@ -114,13 +116,7 @@ fn put_op(out: &mut Vec<u8>, op: &Op) {
             put_u32(out, *callee);
             put_u32(out, *params);
         }
-        Op::HostCall { func, argc, retc } => {
-            out.push(9);
-            put_u32(out, *func);
-            put_u32(out, *argc);
-            put_u32(out, *retc);
-        }
-        Op::HostCallArgs {
+        Op::HostCall {
             func,
             stack_argc,
             retc,
@@ -129,18 +125,6 @@ fn put_op(out: &mut Vec<u8>, op: &Op) {
         } => {
             out.push(10);
             for v in [func, stack_argc, retc, args_at, args_len] {
-                put_u32(out, *v);
-            }
-        }
-        Op::HostCallConst {
-            func,
-            stack_argc,
-            retc,
-            const_at,
-            const_len,
-        } => {
-            out.push(11);
-            for v in [func, stack_argc, retc, const_at, const_len] {
                 put_u32(out, *v);
             }
         }
@@ -288,10 +272,6 @@ pub(crate) fn encode(code: &ModuleCode) -> Vec<u8> {
     for sig in &code.sigs {
         put_functype(&mut out, sig);
     }
-    put_len(&mut out, code.consts.len());
-    for &v in &code.consts {
-        put_val(&mut out, v);
-    }
     put_len(&mut out, code.args.len());
     for arg in &code.args {
         match arg {
@@ -420,24 +400,12 @@ impl<'a> Reader<'a> {
                 callee: self.u32()?,
                 params: self.u32()?,
             },
-            9 => Op::HostCall {
-                func: self.u32()?,
-                argc: self.u32()?,
-                retc: self.u32()?,
-            },
-            10 => Op::HostCallArgs {
+            10 => Op::HostCall {
                 func: self.u32()?,
                 stack_argc: self.u32()?,
                 retc: self.u32()?,
                 args_at: self.u32()?,
                 args_len: self.u32()?,
-            },
-            11 => Op::HostCallConst {
-                func: self.u32()?,
-                stack_argc: self.u32()?,
-                retc: self.u32()?,
-                const_at: self.u32()?,
-                const_len: self.u32()?,
             },
             12 => Op::CallIndirect {
                 sig: self.u32()?,
@@ -536,7 +504,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<ModuleCode> {
         })
         .collect::<Option<_>>()?;
     let sigs: Vec<FuncType> = (0..r.len()?).map(|_| r.functype()).collect::<Option<_>>()?;
-    let consts: Vec<Val> = (0..r.len()?).map(|_| r.val()).collect::<Option<_>>()?;
     let args: Vec<ArgSrc> = (0..r.len()?)
         .map(|_| {
             Some(match r.u8()? {
@@ -560,7 +527,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<ModuleCode> {
     (r.remaining() == 0).then_some(ModuleCode {
         funcs,
         sigs,
-        consts,
         args,
         hook_imports,
     })

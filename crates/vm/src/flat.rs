@@ -12,25 +12,24 @@
 //! - `else` becomes an unconditional [`Op::Goto`] to the matching `end`,
 //! - branches that leave the function ([`RETURN_TARGET`]) return directly.
 //!
-//! On top of the one-op-per-instruction translation, a peephole pass —
-//! iterated to a fixpoint, so fused ops can combine into compound ones —
-//! fuses hot instruction sequences into **superinstructions**:
+//! On top of the one-op-per-instruction translation, one peephole pass
+//! fuses hot instruction sequences into **superinstructions**. The rules
+//! are tried in the table's order and every one matches unfused ops only,
+//! so the pass is final: fusing its output again changes nothing.
 //!
 //! | pattern | fused op | weight |
 //! |---|---|---|
+//! | (`get_local`\|`T.const`)×k + imported call | [`Op::HostCall`] | k+1 |
+//! | affine address chain `(l_a*c1 + l_b)*c2` + load | [`Op::AffineLoad`] | 8 |
+//! | affine address chain `(l_a*c1 + l_b)*c2` | [`Op::AffineAddr`] | 7 |
+//! | `get_local` + `T.const` + cmp + `br_if` | [`Op::LocalConstCmpBrIf`] | 4 |
+//! | `get_local` ×2 + cmp + `br_if` | [`Op::LocalLocalCmpBrIf`] | 4 |
+//! | `get_local` + `T.const` + binop + `set_local` | [`Op::LocalConstBinarySet`] | 4 |
+//! | `get_local` + `T.const` + binop | [`Op::LocalConstBinary`] | 3 |
+//! | `get_local` + `get_local` + binop | [`Op::LocalLocalBinary`] | 3 |
 //! | `T.const` + binop | [`Op::ConstBinary`] | 2 |
 //! | `get_local` + binop | [`Op::LocalBinary`] | 2 |
 //! | comparison + `br_if` | [`Op::CmpBrIf`] | 2 |
-//! | `get_local` + `get_local` + binop | [`Op::LocalLocalBinary`] | 3 |
-//! | `get_local` + `T.const` + binop | [`Op::LocalConstBinary`] | 3 |
-//! | `get_local` + `T.const` + binop + `set_local` | [`Op::LocalConstBinarySet`] | 4 |
-//! | `get_local` + `T.const` + cmp + `br_if` | [`Op::LocalConstCmpBrIf`] | 4 |
-//! | `get_local` ×2 + cmp + `br_if` | [`Op::LocalLocalCmpBrIf`] | 4 |
-//! | affine address chain `(l_a*c1 + l_b)*c2` | [`Op::AffineAddr`] | 7 |
-//! | affine address chain + load | [`Op::AffineLoad`] | 8 |
-//! | call of an imported function | [`Op::HostCall`] | 1 |
-//! | `T.const`×k + imported call | [`Op::HostCallConst`] | k+1 |
-//! | (`get_local`\|`T.const`)×k + imported call | [`Op::HostCallArgs`] | k+1 |
 //!
 //! # Host-call intrinsics
 //!
@@ -39,38 +38,31 @@
 //! interpreter frame bookkeeping) is pure overhead. The translator instead
 //! emits [`Op::HostCall`]: the callee's host identity is resolved once at
 //! instantiation into a dense per-instance table, and the arguments are
-//! passed to the host directly as a slice of the operand stack — no frame,
-//! no target match, no per-call argument buffer.
+//! handed to the host from a reused scratch buffer — no frame, no target
+//! match, no per-call allocation.
 //!
-//! On top of that, [`Op::HostCallConst`] folds a run of `T.const`
-//! instructions that feed directly into an imported call — exactly the
-//! shape an instrumenter emits for every low-level hook call, whose
-//! trailing `(func, instr)` location arguments are `i32.const`s baked in at
-//! instrumentation time. The constants live in a per-module const table
-//! ([`ModuleCode::consts`]) and are handed to the host as the trailing
-//! argument run without ever touching the operand stack. A function's
-//! translation appends each folded run to a pool of its own, with no
-//! deduplication; the build's join then interns every run exactly once into
-//! the module tables, in function-index and op order, where identical runs
-//! (bit for bit) share one slice (see [`merge_local`]). The fold
-//! is generic over hosts: it keys purely on "constants feeding an imported
-//! call", not on any hook naming convention. Folding obeys the same two
-//! legality rules as every other superinstruction (no branch into the
-//! interior; the call — the only trap-capable member — is last), and the
-//! fold is capped at the call's argument count so constants that belong to
-//! a deeper stack consumer are left alone.
-//!
-//! [`Op::HostCallArgs`] generalizes the fold to mixed runs of `get_local`
-//! and `T.const` — exactly the instrumenter's payload-marshalling shape
-//! (captured values are re-read from locals, immediates and the location
-//! pair are constants). The argument list is compiled into a per-module
-//! [`ArgSrc`] template ([`ModuleCode::args`], interned like the const
-//! table), so a typical instrumented call site — five to eight
-//! marshalling instructions plus the call — executes as **one** op whose
-//! arguments are gathered straight from the frame's locals and the const
-//! table. Runs that are all-constant still prefer [`Op::HostCallConst`]
-//! (its zero-stack-argument case hands the host a const-table slice
-//! without copying anything).
+//! Fusion folds a run of `get_local` and `T.const` instructions that feed
+//! directly into an imported call into the call's [`Op::HostCall`], with
+//! `k` = 0 for a call with nothing folded. That run is exactly the shape an
+//! instrumenter emits for every low-level hook call: captured values are
+//! re-read from locals, and immediates and the trailing `(func, instr)`
+//! location pair are constants baked in at instrumentation time. The run
+//! is compiled into an [`ArgSrc`] template in the per-module table
+//! [`ModuleCode::args`], so a typical instrumented call site — five to
+//! eight marshalling instructions plus the call — executes as **one** op
+//! whose host receives the remaining operand-stack arguments followed by
+//! the template's values, gathered straight from the frame's locals and
+//! the immediates. A function's translation appends each template to a
+//! table of its own, with no deduplication; the build's join then interns
+//! every template exactly once into the module table, in function-index and
+//! op order, where identical templates (bit for bit) share one slice (see
+//! [`merge_local`]). The fold is generic over hosts: it keys purely on
+//! "locals and constants feeding an imported call", not on any hook naming
+//! convention. It obeys the same two legality rules as every other
+//! superinstruction (no branch into the interior; the call — the only
+//! trap-capable member — is last), it is capped at the call's argument
+//! count so values that belong to a deeper stack consumer are left alone,
+//! and it applies only to a call with nothing folded yet.
 //!
 //! Two legality rules keep fusion observationally invisible:
 //!
@@ -96,14 +88,13 @@
 //! bodies straight into this translator together with a list of *synthetic*
 //! [`HookImport`]s occupying function indices past the module's own — no
 //! rewritten binary ever exists. Injected hook calls are ordinary imported
-//! calls to the translator, so they fold into
-//! [`Op::HostCallConst`]/[`Op::HostCallArgs`] under the same two legality
-//! rules as everything else (an injected call is trap-capable — the host
-//! boundary — so it is always the *last* member of its group, and no
-//! branch may enter the marshalling run feeding it). At instantiation the
-//! synthetic imports resolve after the module's real imports, and the host
-//! may declare any of them a statically-known no-op
-//! ([`crate::Host::is_noop`]), in which case the dispatch arms retire the
+//! calls to the translator, so they fold into [`Op::HostCall`] templates
+//! under the same two legality rules as everything else (an injected call
+//! is trap-capable — the host boundary — so it is always the *last* member
+//! of its group, and no branch may enter the marshalling run feeding it).
+//! At instantiation the synthetic imports resolve after the module's real
+//! imports, and the host may declare any of them a statically-known no-op
+//! ([`crate::Host::is_noop`]), in which case the dispatch arm retires the
 //! call without crossing the host boundary at all — same weight, same fuel,
 //! same depth check, no observable difference.
 //!
@@ -162,48 +153,21 @@ pub(crate) enum Op {
     },
     /// Call of an **imported** function, dispatched straight to the host:
     /// no interpreter frame, no per-call function-target match — the callee
-    /// resolves through the instance's dense host-id table, and the
-    /// arguments are the top `argc` operand-stack values, passed as a
-    /// borrowed slice (see the module docs, "Host-call intrinsics").
+    /// resolves through the instance's dense host-id table. The host
+    /// receives `stack[top-stack_argc..]` followed by one value per
+    /// [`ArgSrc`] of `args[args_at..args_at+args_len]`, gathered from the
+    /// frame's locals and immediates without touching the operand stack
+    /// (see the module docs, "Host-call intrinsics").
     HostCall {
         /// Function index of the imported callee.
         func: u32,
-        argc: u32,
-        retc: u32,
-    },
-    /// [`Op::HostCall`] with a folded run of trailing arguments sourced
-    /// from locals and constants (the instrumenter's payload-marshalling
-    /// shape): the host receives `stack[top-stack_argc..]` followed by one
-    /// value per [`ArgSrc`] of `args[args_at..args_at+args_len]`, gathered
-    /// from the frame's locals and [`ModuleCode::consts`] without touching
-    /// the operand stack.
-    HostCallArgs {
-        /// Function index of the imported callee.
-        func: u32,
-        /// Arguments still taken from the operand stack (may be 0).
+        /// Arguments taken from the operand stack.
         stack_argc: u32,
         retc: u32,
-        /// Start of the argument template in [`ModuleCode::args`].
+        /// Start of the folded argument template in [`ModuleCode::args`].
         args_at: u32,
-        /// Length of the argument template (≥ 1).
+        /// Length of the folded argument template (0: nothing folded).
         args_len: u32,
-    },
-    /// [`Op::HostCall`] with a folded run of constant trailing arguments
-    /// (the instrumenter's `i32.const`-pushed location pair, typically):
-    /// the host receives `stack[top-stack_argc..] ++
-    /// consts[const_at..const_at+const_len]` — the constants live in the
-    /// deduplicated [`ModuleCode::consts`] table and never touch the
-    /// operand stack.
-    HostCallConst {
-        /// Function index of the imported callee.
-        func: u32,
-        /// Arguments still taken from the operand stack (may be 0).
-        stack_argc: u32,
-        retc: u32,
-        /// Start of the constant argument run in [`ModuleCode::consts`].
-        const_at: u32,
-        /// Length of the constant argument run (≥ 1).
-        const_len: u32,
     },
     CallIndirect {
         /// Index into [`ModuleCode::sigs`].
@@ -287,7 +251,6 @@ pub(crate) enum Op {
     /// The affine array-address chain `get_local a; i32.const c1; i32.mul;
     /// get_local b; i32.add; i32.const c2; i32.mul` — seven instructions,
     /// one push of `(a*c1 + b)*c2` in native wrapping arithmetic.
-    /// Formed in a second fusion pass from already-fused ops.
     AffineAddr {
         a: u32,
         c1: i32,
@@ -319,8 +282,7 @@ impl Op {
             | Op::LocalLocalCmpBrIf { .. } => 4,
             Op::AffineAddr { .. } => 7,
             Op::AffineLoad { .. } => 8,
-            Op::HostCallConst { const_len, .. } => 1 + u64::from(*const_len),
-            Op::HostCallArgs { args_len, .. } => 1 + u64::from(*args_len),
+            Op::HostCall { args_len, .. } => 1 + u64::from(*args_len),
             _ => 1,
         }
     }
@@ -336,8 +298,8 @@ pub(crate) struct FuncCode {
     pub arity: usize,
 }
 
-/// One argument of an [`Op::HostCallArgs`] template: where the value comes
-/// from when the call executes.
+/// One folded argument of an [`Op::HostCall`] template: where the value
+/// comes from when the call executes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ArgSrc {
     /// The current value of a local.
@@ -353,9 +315,7 @@ pub(crate) struct ModuleCode {
     pub funcs: Vec<FuncCode>,
     /// Deduplicated `call_indirect` expected signatures.
     pub sigs: Vec<FuncType>,
-    /// Deduplicated constant-argument runs of [`Op::HostCallConst`] ops.
-    pub consts: Vec<Val>,
-    /// Deduplicated argument templates of [`Op::HostCallArgs`] ops.
+    /// Deduplicated argument templates of [`Op::HostCall`] ops.
     pub args: Vec<ArgSrc>,
     /// Synthetic function imports of the direct-emit instrumentation path
     /// ([`crate::TranslatedModule::new_instrumented`]), occupying function
@@ -402,9 +362,9 @@ pub struct InstrumentedFunc {
 /// fallback.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TranslateOptions {
-    /// Emit [`Op::HostCall`]/[`Op::HostCallConst`] for calls of imported
-    /// functions (default). When `false`, imported calls go through the
-    /// generic [`Op::Call`] machinery.
+    /// Emit [`Op::HostCall`] for calls of imported functions (default).
+    /// When `false`, imported calls go through the generic [`Op::Call`]
+    /// machinery.
     pub host_call_intrinsics: bool,
 }
 
@@ -416,53 +376,30 @@ impl Default for TranslateOptions {
     }
 }
 
-/// The argument tables of the host-call folds: the constant runs of
-/// [`Op::HostCallConst`] and the argument templates of
-/// [`Op::HostCallArgs`]. A function's own pool is append-only: each fold
-/// writes its run to the end, once. Deduplication happens only at the join,
-/// where [`merge_local`] interns every run into the module's pool (see
-/// [`intern_run`]).
-#[derive(Debug, Default)]
-struct ConstPool {
-    consts: Vec<Val>,
-    args: Vec<ArgSrc>,
-}
-
-/// Bit pattern of a value, so NaNs and signed zeros compare exactly.
-fn val_key(v: &Val) -> (u8, u64) {
-    match *v {
-        Val::I32(x) => (0u8, x as u32 as u64),
-        Val::I64(x) => (1, x as u64),
-        Val::F32(x) => (2, u64::from(x.to_bits())),
-        Val::F64(x) => (3, x.to_bits()),
-    }
-}
-
-/// Bit pattern of an argument source (tag 4 = local).
+/// Bit pattern of an argument source, so NaNs and signed zeros compare
+/// exactly (tag 4 = local).
 fn arg_key(src: &ArgSrc) -> (u8, u64) {
-    match src {
-        ArgSrc::Local(i) => (4, u64::from(*i)),
-        ArgSrc::Value(v) => val_key(v),
+    match *src {
+        ArgSrc::Value(Val::I32(x)) => (0, x as u32 as u64),
+        ArgSrc::Value(Val::I64(x)) => (1, x as u64),
+        ArgSrc::Value(Val::F32(x)) => (2, u64::from(x.to_bits())),
+        ArgSrc::Value(Val::F64(x)) => (3, x.to_bits()),
+        ArgSrc::Local(i) => (4, u64::from(i)),
     }
 }
 
-/// Intern `run` into `table`, returning its start: the start of an earlier
-/// identical run (bit-pattern equality, per `key`), or of a fresh copy
-/// appended to the table. `index` maps a 64-bit hash of each indexed run to
-/// its start, and a hit counts only if the stored slice matches bit for
-/// bit. A run whose hash is taken by a different run is appended without an
-/// index entry, so interning stays linear in the run's length even on
-/// crafted collisions.
-fn intern_run<T: Copy>(
-    table: &mut Vec<T>,
-    index: &mut HashMap<u64, u32>,
-    run: &[T],
-    key: fn(&T) -> (u8, u64),
-) -> u32 {
+/// Intern the argument template `run` into `table`, returning its start:
+/// the start of an earlier identical run (bit-pattern equality, per
+/// [`arg_key`]), or of a fresh copy appended to the table. `index` maps a
+/// 64-bit hash of each indexed run to its start, and a hit counts only if
+/// the stored slice matches bit for bit. A run whose hash is taken by a
+/// different run is appended without an index entry, so interning stays
+/// linear in the run's length even on crafted collisions.
+fn intern_run(table: &mut Vec<ArgSrc>, index: &mut HashMap<u64, u32>, run: &[ArgSrc]) -> u32 {
     let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let hash = run
         .iter()
-        .map(key)
+        .map(arg_key)
         .fold(run.len() as u64, |h, (tag, bits)| {
             mix(mix(h, u64::from(tag)), bits)
         });
@@ -470,7 +407,7 @@ fn intern_run<T: Copy>(
     let at = *index.entry(hash).or_insert(end);
     if at != end {
         let stored = table.get(at as usize..at as usize + run.len());
-        if stored.is_some_and(|stored| stored.iter().map(key).eq(run.iter().map(key))) {
+        if stored.is_some_and(|stored| stored.iter().map(arg_key).eq(run.iter().map(arg_key))) {
             return at;
         }
     }
@@ -521,15 +458,16 @@ pub(crate) fn translate_module_with(module: &Module, opts: TranslateOptions) -> 
 
 /// Per-function output of the independent translation pass: the function's
 /// fused ops with every cross-function table reference
-/// ([`Op::CallIndirect`]'s signature id, [`Op::HostCallConst`]'s const run,
-/// [`Op::HostCallArgs`]'s template) still pointing into these **local**
-/// tables. [`merge_local`] interns them into the module-global tables at
-/// the deterministic join.
+/// ([`Op::CallIndirect`]'s signature id, [`Op::HostCall`]'s argument
+/// template) still pointing into these **local** tables. [`merge_local`]
+/// interns them into the module-global tables at the deterministic join.
 #[derive(Debug, Default)]
 struct LocalTranslation {
     code: FuncCode,
     sigs: Vec<FuncType>,
-    pool: ConstPool,
+    /// Argument templates, appended by each host-call fold, never
+    /// deduplicated here.
+    args: Vec<ArgSrc>,
 }
 
 /// Module-global interning state built up at the join, in function-index
@@ -538,18 +476,16 @@ struct LocalTranslation {
 struct GlobalTables {
     sigs: Vec<FuncType>,
     sig_ids: HashMap<FuncType, u32>,
-    pool: ConstPool,
-    /// [`intern_run`]'s index of the const runs in `pool.consts`.
-    const_runs: HashMap<u64, u32>,
-    /// [`intern_run`]'s index of the templates in `pool.args`.
+    args: Vec<ArgSrc>,
+    /// [`intern_run`]'s index of the templates in `args`.
     templates: HashMap<u64, u32>,
 }
 
 /// Intern one function's local tables into the global ones and remap its
 /// ops. Determinism argument: every table reference lives in the
 /// function's own ops — Phase A interns `call_indirect` signatures into the
-/// local table, and each host-call fold of Phase B appends its run to the
-/// local pool without deduplicating. The join interns them in
+/// local table, and each host-call fold of Phase B appends its template to
+/// the local `args` without deduplicating. The join interns them in
 /// function-index order and, within a function, in op order (fusion never
 /// reorders ops), each host-call run exactly once. The global tables
 /// therefore depend only on the final op streams, never on how many
@@ -558,7 +494,7 @@ fn merge_local(tables: &mut GlobalTables, local: LocalTranslation) -> FuncCode {
     let LocalTranslation {
         mut code,
         sigs,
-        pool,
+        args,
     } = local;
     for op in &mut code.ops {
         match op {
@@ -574,26 +510,12 @@ fn merge_local(tables: &mut GlobalTables, local: LocalTranslation) -> FuncCode {
                     }
                 };
             }
-            Op::HostCallConst {
-                const_at,
-                const_len,
-                ..
-            } => {
-                let at = *const_at as usize;
-                let run = &pool.consts[at..at + *const_len as usize];
-                *const_at = intern_run(
-                    &mut tables.pool.consts,
-                    &mut tables.const_runs,
-                    run,
-                    val_key,
-                );
-            }
-            Op::HostCallArgs {
+            Op::HostCall {
                 args_at, args_len, ..
-            } => {
+            } if *args_len > 0 => {
                 let at = *args_at as usize;
-                let run = &pool.args[at..at + *args_len as usize];
-                *args_at = intern_run(&mut tables.pool.args, &mut tables.templates, run, arg_key);
+                let run = &args[at..at + *args_len as usize];
+                *args_at = intern_run(&mut tables.args, &mut tables.templates, run);
             }
             _ => {}
         }
@@ -603,7 +525,7 @@ fn merge_local(tables: &mut GlobalTables, local: LocalTranslation) -> FuncCode {
 
 /// The function-granular build pipeline (paper §3): translate every body as
 /// an independent pass — immutable module/type context in, per-function
-/// [`FuncCode`] plus its append-only local pools out — fanned out over
+/// [`FuncCode`] plus its append-only local tables out — fanned out over
 /// `threads` scoped workers in contiguous chunks, then intern each
 /// function's signatures and host-call runs into the module-global tables
 /// in function-index order. That join is the only sequential section, the
@@ -691,8 +613,7 @@ pub(crate) fn translate_module_parallel(
         ModuleCode {
             funcs: merged,
             sigs: tables.sigs,
-            consts: tables.pool.consts,
-            args: tables.pool.args,
+            args: tables.args,
             hook_imports,
         },
         busy_nanos,
@@ -753,7 +674,7 @@ fn translate_function(
 ) -> LocalTranslation {
     let mut sigs: Vec<FuncType> = Vec::new();
     let mut sig_ids: HashMap<FuncType, u32> = HashMap::new();
-    let mut pool = ConstPool::default();
+    let mut args: Vec<ArgSrc> = Vec::new();
     let jump = compute_jump_table(body);
     let mut ops: Vec<Op> = Vec::with_capacity(body.len());
     let mut frames: Vec<TFrame> = vec![TFrame {
@@ -874,8 +795,10 @@ fn translate_function(
                 if is_import && (opts.host_call_intrinsics || is_synthetic) {
                     Op::HostCall {
                         func: callee.to_u32(),
-                        argc: callee_ty.params.len() as u32,
+                        stack_argc: callee_ty.params.len() as u32,
                         retc: callee_ty.results.len() as u32,
+                        args_at: 0,
+                        args_len: 0,
                     }
                 } else {
                     Op::Call {
@@ -981,7 +904,7 @@ fn translate_function(
     debug_assert_eq!(ops.len(), body.len());
 
     // ---- Phase B: fuse superinstructions and remap branch targets.
-    let ops = fuse(ops, &mut pool);
+    let ops = fuse(&ops, &mut args);
 
     LocalTranslation {
         code: FuncCode {
@@ -990,7 +913,7 @@ fn translate_function(
             arity: ty.results.len(),
         },
         sigs,
-        pool,
+        args,
     }
 }
 
@@ -1036,233 +959,138 @@ fn branch_targets(ops: &[Op]) -> Vec<bool> {
     is_target
 }
 
+/// The `(a, c1, b, c2)` of the affine address chain `get_local a;
+/// i32.const c1; i32.mul; get_local b; i32.add; i32.const c2; i32.mul` at
+/// the start of `ops`.
+fn affine_chain(ops: &[Op]) -> Option<(u32, i32, u32, i32)> {
+    use BinaryOp::{I32Add, I32Mul};
+    let [o0, o1, o2, o3, o4, o5, o6] = ops.first_chunk::<7>()?;
+    match (o0, o1, o2, o3, o4, o5, o6) {
+        (
+            Op::LocalGet(a),
+            Op::Const(Val::I32(c1)),
+            Op::Binary(I32Mul),
+            Op::LocalGet(b),
+            Op::Binary(I32Add),
+            Op::Const(Val::I32(c2)),
+            Op::Binary(I32Mul),
+        ) => Some((*a, *c1, *b, *c2)),
+        _ => None,
+    }
+}
+
 /// Try to fuse a superinstruction starting at `i`; returns the fused op and
-/// the number of ops it consumes. `run` is the number of `Const`/`LocalGet`
-/// ops starting at `i`. Members after the first must not be branch targets
-/// (control may only enter a group at its head), and longer groups are
-/// preferred over shorter ones.
+/// the number of ops it consumes. `ops` are unfused, one per original
+/// instruction, and `run` is the number of `Const`/`LocalGet` ops starting
+/// at `i`. Members after the first must not be branch targets (control may
+/// only enter a group at its head), and longer groups are preferred over
+/// shorter ones.
 fn try_fuse(
     ops: &[Op],
     is_target: &[bool],
     i: usize,
     run: usize,
-    pool: &mut ConstPool,
+    args: &mut Vec<ArgSrc>,
 ) -> Option<(Op, usize)> {
     let fusible = |k: usize| i + k < ops.len() && (1..=k).all(|j| !is_target[i + j]);
 
     // Host-call intrinsic fold: a run of consts and local reads feeding
     // directly into an imported call becomes one op, the argument sources
-    // appended to the function's const/template pool. The fold is capped
-    // at the call's argument count — if the run is longer, the leading
-    // values belong to a deeper stack consumer and the fold fires later,
-    // at the run's suffix.
-    if let Some(Op::HostCall { func, argc, retc }) = ops.get(i + run) {
-        if (1..=*argc as usize).contains(&run) && fusible(run) {
-            let stack_argc = *argc - run as u32;
-            let sources = &ops[i..i + run];
-            let op = if sources.iter().all(|op| matches!(op, Op::Const(_))) {
-                // All-constant run: the zero-copy const-table form.
-                let const_at = pool.consts.len() as u32;
-                pool.consts.extend(sources.iter().map(|op| match op {
-                    Op::Const(v) => *v,
-                    _ => unreachable!("run contains only consts"),
-                }));
-                Op::HostCallConst {
-                    func: *func,
-                    stack_argc,
-                    retc: *retc,
-                    const_at,
-                    const_len: run as u32,
-                }
-            } else {
-                let args_at = pool.args.len() as u32;
-                pool.args.extend(sources.iter().map(|op| match op {
-                    Op::Const(v) => ArgSrc::Value(*v),
-                    Op::LocalGet(idx) => ArgSrc::Local(*idx),
-                    _ => unreachable!("run contains only consts and local reads"),
-                }));
-                Op::HostCallArgs {
-                    func: *func,
-                    stack_argc,
-                    retc: *retc,
-                    args_at,
-                    args_len: run as u32,
-                }
+    // appended to the function's template table. The fold is capped at the
+    // call's argument count — if the run is longer, the leading values
+    // belong to a deeper stack consumer and the fold fires later, at the
+    // run's suffix.
+    if let Some(&Op::HostCall {
+        func,
+        stack_argc,
+        retc,
+        args_len: 0,
+        ..
+    }) = ops.get(i + run)
+    {
+        if (1..=stack_argc as usize).contains(&run) && fusible(run) {
+            let args_at = args.len() as u32;
+            args.extend(ops[i..i + run].iter().map(|op| match op {
+                Op::Const(v) => ArgSrc::Value(*v),
+                Op::LocalGet(idx) => ArgSrc::Local(*idx),
+                _ => unreachable!("run contains only consts and local reads"),
+            }));
+            let op = Op::HostCall {
+                func,
+                stack_argc: stack_argc - run as u32,
+                retc,
+                args_at,
+                args_len: run as u32,
             };
             return Some((op, run + 1));
         }
     }
 
-    if fusible(3) {
-        match (&ops[i], &ops[i + 1], &ops[i + 2], &ops[i + 3]) {
-            // get_local a; const v; cmp; br_if — constant-bound loop exit.
-            (Op::LocalGet(a), Op::Const(value), Op::Binary(op), Op::BrIf(dest))
-                if op.is_comparison() =>
-            {
-                return Some((
-                    Op::LocalConstCmpBrIf {
-                        a: *a,
-                        value: *value,
-                        op: *op,
-                        dest: *dest,
-                    },
-                    4,
-                ));
-            }
-            // get_local a; get_local b; cmp; br_if — local-bound loop exit.
-            (Op::LocalGet(a), Op::LocalGet(b), Op::Binary(op), Op::BrIf(dest))
-                if op.is_comparison() =>
-            {
-                return Some((
-                    Op::LocalLocalCmpBrIf {
-                        a: *a,
-                        b: *b,
-                        op: *op,
-                        dest: *dest,
-                    },
-                    4,
-                ));
-            }
-            // get_local a; const v; binop; set_local dst — counter step.
-            // Only for binops that cannot trap: a trapping member must be
-            // the *last* instruction of its group, or `executed_instrs`
-            // and the fuel-vs-real-trap ordering would diverge from the
-            // structured-walk oracle.
-            (Op::LocalGet(a), Op::Const(value), Op::Binary(op), Op::LocalSet(dst))
-                if !binop_can_trap(*op) =>
-            {
-                return Some((
-                    Op::LocalConstBinarySet {
-                        a: *a,
-                        value: *value,
-                        op: *op,
-                        dst: *dst,
-                    },
-                    4,
-                ));
-            }
-            _ => {}
-        }
-    }
-    if fusible(2) {
-        match (&ops[i], &ops[i + 1], &ops[i + 2]) {
-            (Op::LocalGet(a), Op::Const(value), Op::Binary(op)) => {
-                return Some((
-                    Op::LocalConstBinary {
-                        a: *a,
-                        value: *value,
-                        op: *op,
-                    },
-                    3,
-                ));
-            }
-            (Op::LocalGet(a), Op::LocalGet(b), Op::Binary(op)) => {
-                return Some((
-                    Op::LocalLocalBinary {
-                        a: *a,
-                        b: *b,
-                        op: *op,
-                    },
-                    3,
-                ));
-            }
-            _ => {}
-        }
-    }
-    if fusible(2) {
-        // Compound rule over already-fused ops: the affine address chain.
-        if let (
-            Op::LocalConstBinary {
+    // The affine address chain, plus the load it feeds unless that load is
+    // a branch target.
+    if let Some((a, c1, b, c2)) = affine_chain(&ops[i..]).filter(|_| fusible(6)) {
+        if let Some(&Op::Load { op: load, offset }) = ops.get(i + 7).filter(|_| fusible(7)) {
+            let op = Op::AffineLoad {
                 a,
-                value: Val::I32(c1),
-                op: BinaryOp::I32Mul,
-            },
-            Op::LocalBinary {
-                local: b,
-                op: BinaryOp::I32Add,
-            },
-            Op::ConstBinary {
-                value: Val::I32(c2),
-                op: BinaryOp::I32Mul,
-            },
-        ) = (&ops[i], &ops[i + 1], &ops[i + 2])
+                c1,
+                b,
+                c2,
+                load,
+                offset,
+            };
+            return Some((op, 8));
+        }
+        return Some((Op::AffineAddr { a, c1, b, c2 }, 7));
+    }
+
+    // The shorter rules, in the module docs' table order.
+    let fused = match ops[i..] {
+        // get_local a; const v; cmp; br_if — constant-bound loop exit.
+        [Op::LocalGet(a), Op::Const(value), Op::Binary(op), Op::BrIf(dest), ..]
+            if fusible(3) && op.is_comparison() =>
         {
-            return Some((
-                Op::AffineAddr {
-                    a: *a,
-                    c1: *c1,
-                    b: *b,
-                    c2: *c2,
-                },
-                3,
-            ));
+            (Op::LocalConstCmpBrIf { a, value, op, dest }, 4)
         }
-    }
-    if fusible(1) {
-        match (&ops[i], &ops[i + 1]) {
-            (Op::Const(value), Op::Binary(op)) => {
-                return Some((
-                    Op::ConstBinary {
-                        value: *value,
-                        op: *op,
-                    },
-                    2,
-                ));
-            }
-            (Op::LocalGet(local), Op::Binary(op)) => {
-                return Some((
-                    Op::LocalBinary {
-                        local: *local,
-                        op: *op,
-                    },
-                    2,
-                ));
-            }
-            (Op::Binary(op), Op::BrIf(dest)) if op.is_comparison() => {
-                return Some((
-                    Op::CmpBrIf {
-                        op: *op,
-                        dest: *dest,
-                    },
-                    2,
-                ));
-            }
-            (Op::AffineAddr { a, c1, b, c2 }, Op::Load { op: load, offset }) => {
-                return Some((
-                    Op::AffineLoad {
-                        a: *a,
-                        c1: *c1,
-                        b: *b,
-                        c2: *c2,
-                        load: *load,
-                        offset: *offset,
-                    },
-                    2,
-                ));
-            }
-            _ => {}
+        // get_local a; get_local b; cmp; br_if — local-bound loop exit.
+        [Op::LocalGet(a), Op::LocalGet(b), Op::Binary(op), Op::BrIf(dest), ..]
+            if fusible(3) && op.is_comparison() =>
+        {
+            (Op::LocalLocalCmpBrIf { a, b, op, dest }, 4)
         }
-    }
-    None
+        // get_local a; const v; binop; set_local dst — counter step. Only
+        // for binops that cannot trap: a trapping member must be the *last*
+        // instruction of its group, or `executed_instrs` and the
+        // fuel-vs-real-trap ordering would diverge from the structured-walk
+        // oracle.
+        [Op::LocalGet(a), Op::Const(value), Op::Binary(op), Op::LocalSet(dst), ..]
+            if fusible(3) && !binop_can_trap(op) =>
+        {
+            (Op::LocalConstBinarySet { a, value, op, dst }, 4)
+        }
+        [Op::LocalGet(a), Op::Const(value), Op::Binary(op), ..] if fusible(2) => {
+            (Op::LocalConstBinary { a, value, op }, 3)
+        }
+        [Op::LocalGet(a), Op::LocalGet(b), Op::Binary(op), ..] if fusible(2) => {
+            (Op::LocalLocalBinary { a, b, op }, 3)
+        }
+        [Op::Const(value), Op::Binary(op), ..] if fusible(1) => (Op::ConstBinary { value, op }, 2),
+        [Op::LocalGet(local), Op::Binary(op), ..] if fusible(1) => {
+            (Op::LocalBinary { local, op }, 2)
+        }
+        [Op::Binary(op), Op::BrIf(dest), ..] if fusible(1) && op.is_comparison() => {
+            (Op::CmpBrIf { op, dest }, 2)
+        }
+        _ => return None,
+    };
+    Some(fused)
 }
 
-/// Peephole-fuse `ops` to a fixpoint: a first pass forms the pair/triple/
-/// quad superinstructions, later passes combine those into the compound
-/// ops ([`Op::AffineAddr`], [`Op::AffineLoad`]).
-fn fuse(mut ops: Vec<Op>, pool: &mut ConstPool) -> Vec<Op> {
-    loop {
-        let before = ops.len();
-        ops = fuse_pass(ops, pool);
-        if ops.len() == before {
-            return ops;
-        }
-    }
-}
-
-/// One peephole pass: fuse groups and remap all branch targets to the new
-/// indices.
-fn fuse_pass(ops: Vec<Op>, pool: &mut ConstPool) -> Vec<Op> {
-    let is_target = branch_targets(&ops);
+/// Peephole-fuse `ops` in one pass and remap all branch targets to the new
+/// indices. Every rule matches unfused ops only, and a folded
+/// [`Op::HostCall`] never folds again, so fusing the output once more
+/// changes nothing.
+fn fuse(ops: &[Op], args: &mut Vec<ArgSrc>) -> Vec<Op> {
+    let is_target = branch_targets(ops);
     let mut fused: Vec<Op> = Vec::with_capacity(ops.len());
     // `map[old_pc]` = index of the fused op covering that original op.
     // Branch targets only ever point at group heads (enforced by
@@ -1280,10 +1108,8 @@ fn fuse_pass(ops: Vec<Op>, pool: &mut ConstPool) -> Vec<Op> {
                 .take_while(|op| matches!(op, Op::Const(_) | Op::LocalGet(_)))
                 .count();
         }
-        if let Some((op, width)) = try_fuse(&ops, &is_target, i, run_end - i, pool) {
-            for k in 0..width {
-                map[i + k] = new_idx;
-            }
+        if let Some((op, width)) = try_fuse(ops, &is_target, i, run_end - i, args) {
+            map[i..i + width].fill(new_idx);
             fused.push(op);
             i += width;
         } else {
@@ -1314,6 +1140,9 @@ fn fuse_pass(ops: Vec<Op>, pool: &mut ConstPool) -> Vec<Op> {
             _ => {}
         }
     }
+    // Sized for the unfused stream; a translation lives as long as its
+    // cache entry, so it keeps only what it uses.
+    fused.shrink_to_fit();
     fused
 }
 
@@ -1324,13 +1153,80 @@ mod tests {
     use wasabi_wasm::types::ValType;
     use wasabi_wasm::validate::validate;
 
+    /// Translate a built module, checking on every function that fusion's
+    /// one pass is final and that the fused stream holds no spare capacity.
     fn translate(build: impl FnOnce(&mut ModuleBuilder)) -> ModuleCode {
         let mut builder = ModuleBuilder::new();
         build(&mut builder);
         let module = builder.finish();
         validate(&module).expect("validates");
-        translate_module_with(&module, TranslateOptions::default())
+        let code = translate_module_with(&module, TranslateOptions::default());
+        for func in &code.funcs {
+            assert_fusion_is_final(&func.ops);
+            assert_eq!(func.ops.capacity(), func.ops.len(), "fused ops are shrunk");
+        }
+        code
     }
+
+    /// Fusing a fused stream again changes nothing and folds no template.
+    fn assert_fusion_is_final(ops: &[Op]) {
+        let mut args = Vec::new();
+        assert_eq!(fuse(ops, &mut args), ops);
+        assert!(args.is_empty());
+    }
+
+    fn host_call(func: u32, stack_argc: u32, retc: u32, args_at: u32, args_len: u32) -> Op {
+        Op::HostCall {
+            func,
+            stack_argc,
+            retc,
+            args_at,
+            args_len,
+        }
+    }
+
+    fn value(v: i32) -> ArgSrc {
+        ArgSrc::Value(Val::I32(v))
+    }
+
+    fn br(target: u32) -> Op {
+        let (keep, height) = (0, 0);
+        Op::Br(BrDest {
+            target,
+            keep,
+            height,
+        })
+    }
+
+    const LOAD: Op = Op::Load {
+        op: wasabi_wasm::LoadOp::F64Load,
+        offset: 0,
+    };
+
+    /// Unfused `get_local 0; i32.const 12; i32.mul; get_local 1; i32.add;
+    /// i32.const 8; i32.mul; f64.load`, then a branch to `target`.
+    fn affine_chain_then_branch_to(target: u32) -> Vec<Op> {
+        vec![
+            Op::LocalGet(0),
+            Op::Const(Val::I32(12)),
+            Op::Binary(BinaryOp::I32Mul),
+            Op::LocalGet(1),
+            Op::Binary(BinaryOp::I32Add),
+            Op::Const(Val::I32(8)),
+            Op::Binary(BinaryOp::I32Mul),
+            LOAD,
+            br(target),
+            Op::Return,
+        ]
+    }
+
+    /// The [`Op::AffineAddr`] of [`affine_chain_then_branch_to`]'s chain.
+    const AFFINE_ADDR: Op = Op::AffineAddr {
+        a: 0,
+        c1: 12,
+        b: 1,
+        c2: 8,
+    };
 
     #[test]
     fn const_binop_fuses() {
@@ -1407,6 +1303,59 @@ mod tests {
             ]
         );
         assert_eq!(code.funcs[0].ops[0].weight(), 8);
+    }
+
+    #[test]
+    fn affine_chain_fuses_in_one_pass() {
+        // A branch onto the load keeps the chain apart from it.
+        let ops = fuse(&affine_chain_then_branch_to(7), &mut Vec::new());
+        assert_eq!(ops, vec![AFFINE_ADDR, LOAD, br(1), Op::Return]);
+        assert_fusion_is_final(&ops);
+        // A branch into the chain, at `get_local 1`, leaves the groups that
+        // do not span it.
+        let ops = fuse(&affine_chain_then_branch_to(3), &mut Vec::new());
+        let (mul, add) = (BinaryOp::I32Mul, BinaryOp::I32Add);
+        let expected = vec![
+            Op::LocalConstBinary {
+                a: 0,
+                value: Val::I32(12),
+                op: mul,
+            },
+            Op::LocalBinary { local: 1, op: add },
+            Op::ConstBinary {
+                value: Val::I32(8),
+                op: mul,
+            },
+            LOAD,
+            br(1),
+            Op::Return,
+        ];
+        assert_eq!(ops, expected);
+        assert_fusion_is_final(&ops);
+    }
+
+    #[test]
+    fn affine_chain_sits_between_host_call_folds() {
+        // A hook call before the chain, and one taking the chain's value
+        // from the stack plus a folded constant after it.
+        let code = translate(|b| {
+            let f = b.import_function("env", "f", &[ValType::I32, ValType::I32], &[]);
+            b.function("g", &[ValType::I32, ValType::I32], &[], |body| {
+                body.i32_const(1).i32_const(2).call(f);
+                body.get_local(0u32).i32_const(12).i32_mul();
+                body.get_local(1u32).i32_add();
+                body.i32_const(8).i32_mul();
+                body.i32_const(9).call(f);
+            });
+        });
+        let expected = vec![
+            host_call(0, 0, 0, 0, 2),
+            AFFINE_ADDR,
+            host_call(0, 1, 0, 2, 1),
+            Op::Return,
+        ];
+        assert_eq!(code.funcs[1].ops, expected);
+        assert_eq!(code.args, vec![value(1), value(2), value(9)]);
     }
 
     #[test]
@@ -1589,11 +1538,7 @@ mod tests {
                     b: 0,
                     op: BinaryOp::I32Add
                 },
-                Op::HostCall {
-                    func: 0,
-                    argc: 1,
-                    retc: 1
-                },
+                host_call(0, 1, 1, 0, 0),
                 Op::Return,
             ]
         );
@@ -1611,24 +1556,11 @@ mod tests {
         });
         assert_eq!(
             code.funcs[1].ops,
-            vec![
-                Op::HostCallArgs {
-                    func: 0,
-                    stack_argc: 0,
-                    retc: 0,
-                    args_at: 0,
-                    args_len: 3,
-                },
-                Op::Return,
-            ]
+            vec![host_call(0, 0, 0, 0, 3), Op::Return,]
         );
         assert_eq!(
             code.args,
-            vec![
-                ArgSrc::Local(0),
-                ArgSrc::Value(Val::I32(5)),
-                ArgSrc::Local(1)
-            ]
+            vec![ArgSrc::Local(0), value(5), ArgSrc::Local(1)]
         );
         assert_eq!(code.funcs[1].ops[0].weight(), 4);
     }
@@ -1644,18 +1576,9 @@ mod tests {
         });
         assert_eq!(
             code.funcs[1].ops,
-            vec![
-                Op::HostCallConst {
-                    func: 0,
-                    stack_argc: 0,
-                    retc: 0,
-                    const_at: 0,
-                    const_len: 2,
-                },
-                Op::Return,
-            ]
+            vec![host_call(0, 0, 0, 0, 2), Op::Return,]
         );
-        assert_eq!(code.consts, vec![Val::I32(3), Val::I32(17)]);
+        assert_eq!(code.args, vec![value(3), value(17)]);
         // Weight = the two consts + the call.
         assert_eq!(code.funcs[1].ops[0].weight(), 3);
     }
@@ -1675,23 +1598,17 @@ mod tests {
             vec![
                 Op::Const(Val::I32(1)),
                 Op::Const(Val::I32(2)),
-                Op::HostCallConst {
-                    func: 0,
-                    stack_argc: 0,
-                    retc: 0,
-                    const_at: 0,
-                    const_len: 1,
-                },
+                host_call(0, 0, 0, 0, 1),
                 Op::Return,
             ]
         );
-        assert_eq!(code.consts, vec![Val::I32(99)]);
+        assert_eq!(code.args, vec![value(99)]);
     }
 
     #[test]
     fn mixed_stack_and_const_args() {
         // First argument is computed (stays on the stack), second is a
-        // constant (folds into the const table).
+        // constant (folds into the template).
         let code = translate(|b| {
             let f = b.import_function("env", "f", &[ValType::I32, ValType::I32], &[ValType::I32]);
             b.function("g", &[ValType::I32], &[ValType::I32], |body| {
@@ -1710,16 +1627,11 @@ mod tests {
                     b: 0,
                     op: BinaryOp::I32Mul
                 },
-                Op::HostCallConst {
-                    func: 0,
-                    stack_argc: 1,
-                    retc: 1,
-                    const_at: 0,
-                    const_len: 1,
-                },
+                host_call(0, 1, 1, 0, 1),
                 Op::Return,
             ]
         );
+        assert_eq!(code.args, vec![value(5)]);
     }
 
     #[test]
@@ -1739,31 +1651,22 @@ mod tests {
                 body.i32_const(7).i32_const(9).call(f);
             });
         });
-        // Each distinct run or template is stored once.
-        assert_eq!(
-            code.consts,
-            vec![Val::I32(7), Val::I32(9), Val::I32(8), Val::I32(9)]
-        );
-        assert_eq!(
-            code.args,
-            vec![ArgSrc::Local(0), ArgSrc::Value(Val::I32(5))]
-        );
-        let slices = |func: usize| -> Vec<(&str, u32)> {
+        // Each distinct template is stored once, all-constant or not.
+        let templates = [value(7), value(9), value(8), value(9)];
+        assert_eq!(code.args[..4], templates);
+        assert_eq!(code.args[4..], [ArgSrc::Local(0), value(5)]);
+        let slices = |func: usize| -> Vec<u32> {
             code.funcs[func]
                 .ops
                 .iter()
                 .filter_map(|op| match op {
-                    Op::HostCallConst { const_at, .. } => Some(("consts", *const_at)),
-                    Op::HostCallArgs { args_at, .. } => Some(("args", *args_at)),
+                    Op::HostCall { args_at, .. } => Some(*args_at),
                     _ => None,
                 })
                 .collect()
         };
-        assert_eq!(
-            slices(1),
-            vec![("consts", 0), ("consts", 0), ("consts", 2), ("args", 0)]
-        );
-        assert_eq!(slices(2), vec![("args", 0), ("consts", 0)]);
+        assert_eq!(slices(1), vec![0, 0, 2, 4]);
+        assert_eq!(slices(2), vec![4, 0]);
     }
 
     #[test]
@@ -1792,7 +1695,7 @@ mod tests {
                 Op::Return,
             ]
         );
-        assert!(code.consts.is_empty());
+        assert!(code.args.is_empty());
     }
 
     #[test]
@@ -1812,7 +1715,7 @@ mod tests {
         let ops = &code.funcs[1].ops;
         assert!(ops
             .iter()
-            .any(|op| matches!(op, Op::HostCallConst { const_len: 2, .. })));
+            .any(|op| matches!(op, Op::HostCall { args_len: 2, .. })));
         let back = ops
             .iter()
             .find_map(|op| match op {
@@ -1827,7 +1730,10 @@ mod tests {
             Op::Skip,
             "target follows the loop marker"
         );
-        assert!(matches!(ops[back as usize], Op::HostCallConst { .. }));
+        assert!(matches!(
+            ops[back as usize],
+            Op::HostCall { args_len: 2, .. }
+        ));
     }
 
     #[test]

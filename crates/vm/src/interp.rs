@@ -19,7 +19,7 @@
 //! intrinsic ops (see `crate::flat`, "Host-call intrinsics"): the host
 //! identity resolves once at instantiation into a dense per-instance
 //! table, arguments are gathered from the operand stack, the frame's
-//! locals, and the module's const table with no interpreter frame and no
+//! locals, and the folded immediates with no interpreter frame and no
 //! per-call target match, and [`Instance::host_call_counts`] reports how
 //! many calls took the intrinsic vs. the generic route.
 //!
@@ -410,8 +410,8 @@ pub struct Instance {
     /// boundary. A masked call still pays its weight, fuel, and depth
     /// check; it just skips argument marshalling and the host call.
     host_noop: Vec<bool>,
-    /// Argument scratch for [`Op::HostCallConst`] with mixed stack/const
-    /// arguments; reused across calls, so the steady state allocates
+    /// Argument scratch for [`Op::HostCall`]: the stack arguments plus the
+    /// folded template; reused across calls, so the steady state allocates
     /// nothing.
     host_args: Vec<Val>,
     pub(crate) memory: Option<LinearMemory>,
@@ -427,7 +427,7 @@ pub struct Instance {
     pub(crate) executed_instrs: u64,
     pub(crate) max_call_depth: usize,
     /// Host calls dispatched through the intrinsic fast path
-    /// ([`Op::HostCall`]/[`Op::HostCallConst`]).
+    /// ([`Op::HostCall`]).
     pub(crate) host_calls_fast: u64,
     /// Host calls dispatched through the generic call machinery (generic
     /// `call`, `call_indirect` to an import, direct invocation of an
@@ -720,69 +720,16 @@ impl Instance {
         Ok(())
     }
 
-    /// Dispatch one host-call intrinsic: the host receives
-    /// `stack[at..] ++ consts` and its results replace `stack[at..]`.
+    /// Dispatch one [`Op::HostCall`] intrinsic: the host receives
+    /// `stack[at..]` followed by the template's values, gathered from the
+    /// frame's locals and the immediates into the reused scratch buffer,
+    /// and its results replace `stack[at..]`.
     ///
     /// Never inlined: the host boundary's argument marshalling stays out of
     /// line from the dispatch loop in [`Instance::resume_frames`].
     #[inline(never)]
-    fn host_call_fast(
-        &mut self,
-        func: u32,
-        stack: &mut Vec<Val>,
-        at: usize,
-        consts: &[Val],
-        retc: u32,
-        host: &mut dyn Host,
-    ) -> Result<(), Trap> {
-        self.host_calls_fast += 1;
-        let id = self.host_ids[func as usize];
-        let results = if at == stack.len() {
-            // All-constant argument list (or none at all): hand the host
-            // the const-table slice directly, zero copying.
-            let ctx = HostCtx {
-                memory: self.memory.as_mut(),
-                table: self.table.as_mut(),
-                globals: &mut self.globals,
-            };
-            host.call(id, consts, ctx)?
-        } else if consts.is_empty() {
-            // Arguments are already contiguous on the operand stack.
-            let ctx = HostCtx {
-                memory: self.memory.as_mut(),
-                table: self.table.as_mut(),
-                globals: &mut self.globals,
-            };
-            host.call(id, &stack[at..], ctx)?
-        } else {
-            // Mixed: stack prefix + constant tail, joined in the reused
-            // scratch buffer (allocation-free in the steady state).
-            let mut args = std::mem::take(&mut self.host_args);
-            args.clear();
-            args.extend_from_slice(&stack[at..]);
-            args.extend_from_slice(consts);
-            let ctx = HostCtx {
-                memory: self.memory.as_mut(),
-                table: self.table.as_mut(),
-                globals: &mut self.globals,
-            };
-            let result = host.call(id, &args, ctx);
-            self.host_args = args;
-            result?
-        };
-        debug_assert_eq!(results.len(), retc as usize, "host result arity");
-        stack.truncate(at);
-        stack.extend_from_slice(&results);
-        Ok(())
-    }
-
-    /// Dispatch one [`Op::HostCallArgs`] intrinsic: the host receives
-    /// `stack[at..]` followed by the template's values, gathered from the
-    /// frame's locals and the const table into the reused scratch buffer.
-    /// Never inlined, like [`Instance::host_call_fast`].
-    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
-    fn host_call_args(
+    fn host_call_fast(
         &mut self,
         func: u32,
         stack: &mut Vec<Val>,
@@ -797,12 +744,10 @@ impl Instance {
         let mut args = std::mem::take(&mut self.host_args);
         args.clear();
         args.extend_from_slice(&stack[at..]);
-        for src in tpl {
-            args.push(match src {
-                ArgSrc::Local(idx) => locals[*idx as usize],
-                ArgSrc::Value(v) => *v,
-            });
-        }
+        args.extend(tpl.iter().map(|src| match *src {
+            ArgSrc::Local(idx) => locals[idx as usize],
+            ArgSrc::Value(v) => v,
+        }));
         let ctx = HostCtx {
             memory: self.memory.as_mut(),
             table: self.table.as_mut(),
@@ -1233,16 +1178,21 @@ impl Instance {
                             FuncTarget::Wasm => call_wasm!(*callee, *params),
                         }
                     }
-                    // Host-call intrinsics (see `flat`): the callee's host
+                    // Host-call intrinsic (see `flat`): the callee's host
                     // identity was resolved at instantiation, the arguments
-                    // are passed straight off the operand stack (plus the
-                    // folded constant tail from the module const table) —
-                    // no interpreter frame, no function-target match.
-                    Op::HostCall { func, argc, retc } => {
+                    // are the operand-stack prefix plus the folded template
+                    // — no interpreter frame, no function-target match.
+                    Op::HostCall {
+                        func,
+                        stack_argc,
+                        retc,
+                        args_at,
+                        args_len,
+                    } => {
                         if depth + 1 >= self.max_call_depth {
                             return Err(Trap::CallStackExhausted);
                         }
-                        let at = stack.len() - *argc as usize;
+                        let at = stack.len() - *stack_argc as usize;
                         // No-op mask (direct-emit instrumentation): a hook
                         // the host declared dead retires here — weight,
                         // fuel, and the depth check above were already
@@ -1256,49 +1206,9 @@ impl Instance {
                             self.host_calls_fast += 1;
                             stack.truncate(at);
                         } else {
-                            self.host_call_fast(*func, &mut stack, at, &[], *retc, host)?;
-                        }
-                    }
-                    Op::HostCallConst {
-                        func,
-                        stack_argc,
-                        retc,
-                        const_at,
-                        const_len,
-                    } => {
-                        if depth + 1 >= self.max_call_depth {
-                            return Err(Trap::CallStackExhausted);
-                        }
-                        let at = stack.len() - *stack_argc as usize;
-                        if self.host_noop[*func as usize] {
-                            debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
-                            self.host_calls_fast += 1;
-                            stack.truncate(at);
-                        } else {
-                            let consts =
-                                &code.consts[*const_at as usize..(*const_at + *const_len) as usize];
-                            self.host_call_fast(*func, &mut stack, at, consts, *retc, host)?;
-                        }
-                    }
-                    Op::HostCallArgs {
-                        func,
-                        stack_argc,
-                        retc,
-                        args_at,
-                        args_len,
-                    } => {
-                        if depth + 1 >= self.max_call_depth {
-                            return Err(Trap::CallStackExhausted);
-                        }
-                        let at = stack.len() - *stack_argc as usize;
-                        if self.host_noop[*func as usize] {
-                            debug_assert_eq!(*retc, 0, "no-op mask requires resultless hooks");
-                            self.host_calls_fast += 1;
-                            stack.truncate(at);
-                        } else {
                             let tpl =
                                 &code.args[*args_at as usize..(*args_at + *args_len) as usize];
-                            self.host_call_args(*func, &mut stack, at, tpl, locals, *retc, host)?;
+                            self.host_call_fast(*func, &mut stack, at, tpl, locals, *retc, host)?;
                         }
                     }
                     Op::CallIndirect { sig, params } => {
