@@ -30,6 +30,13 @@ PROPTEST_CASES=256 cargo test -q -p wasabi-vm --test flat_vs_reference
 echo "==> cohort differential (PROPTEST_CASES=64)"
 PROPTEST_CASES=64 cargo test -q -p wasabi-vm --test cohort_vs_sequential
 
+# Fleet differential gate: batches over random worker counts, module
+# assignments and analysis subsets must match sequential pipelines report
+# for report, in submission order and when streamed in completion order.
+# It is the oracle for the fleet's scheduler.
+echo "==> fleet differential (PROPTEST_CASES=64)"
+PROPTEST_CASES=64 cargo test -q --test fleet_equivalence
+
 # Parallel-build gate: `parallel_fused_build_is_bit_identical` is the
 # oracle for the build's deterministic join (per-function passes append,
 # the join interns in function-index and op order), so it sees more than

@@ -15,8 +15,8 @@
 //! - **amortization** (warm vs. cold at 1 worker): what the shared
 //!   translated-module cache saves once every distinct (module, hook set)
 //!   has been validated + instrumented + translated exactly once.
-//! - **scaling** (1 worker vs. all cores, both warm): what the
-//!   work-stealing worker fleet adds on top. On a single-core machine
+//! - **scaling** (1 worker vs. all cores, both warm): what the worker
+//!   fleet, claiming jobs from one shared cursor, adds on top. On a single-core machine
 //!   this is ~1x by construction — the JSON records `cores` so the gate
 //!   in `ci.sh` can judge the numbers in context.
 
@@ -45,7 +45,6 @@ struct Row {
     jobs_per_sec: f64,
     cache_hits: u64,
     cache_misses: u64,
-    stolen: u64,
 }
 
 fn job_list(kernels: &[(String, Arc<Module>)], repeats: usize) -> Vec<Job> {
@@ -104,7 +103,6 @@ fn run_once(
     }
     let batch = fleet.run();
     assert!(batch.all_ok(), "{config}: a job failed");
-    let stolen = batch.jobs.iter().filter(|j| j.stats.stolen).count() as u64;
     Row {
         config,
         workers: batch.workers,
@@ -114,7 +112,6 @@ fn run_once(
         jobs_per_sec: batch.jobs_per_sec(),
         cache_hits: batch.cache_hits,
         cache_misses: batch.cache_misses,
-        stolen,
     }
 }
 
@@ -138,7 +135,7 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     // Even on one core, run the "all cores" configs with >= 2 workers so
-    // the steal path is actually exercised.
+    // workers actually contend for the shared cursor.
     let max_workers = cores.max(2);
 
     let kernels: Vec<(String, Arc<Module>)> = polybench::NAMES
@@ -159,12 +156,12 @@ fn main() {
     );
     println!();
     println!(
-        "{:<16} {:>8} {:>6} {:>10} {:>10} {:>6} {:>7} {:>7}",
-        "config", "workers", "warm", "wall (ms)", "jobs/sec", "hits", "misses", "stolen"
+        "{:<16} {:>8} {:>6} {:>10} {:>10} {:>6} {:>7}",
+        "config", "workers", "warm", "wall (ms)", "jobs/sec", "hits", "misses"
     );
     println!(
-        "{:-<16} {:->8} {:->6} {:->10} {:->10} {:->6} {:->7} {:->7}",
-        "", "", "", "", "", "", "", ""
+        "{:-<16} {:->8} {:->6} {:->10} {:->10} {:->6} {:->7}",
+        "", "", "", "", "", "", ""
     );
 
     let rows = [
@@ -189,7 +186,7 @@ fn main() {
     ];
     for row in &rows {
         println!(
-            "{:<16} {:>8} {:>6} {:>10.1} {:>10.1} {:>6} {:>7} {:>7}",
+            "{:<16} {:>8} {:>6} {:>10.1} {:>10.1} {:>6} {:>7}",
             row.config,
             row.workers,
             row.warm,
@@ -197,7 +194,6 @@ fn main() {
             row.jobs_per_sec,
             row.cache_hits,
             row.cache_misses,
-            row.stolen,
         );
     }
 
@@ -244,8 +240,7 @@ fn main() {
         let _ = write!(
             json,
             "{{\"config\":\"{}\",\"workers\":{},\"warm\":{},\"wall_ms\":{:.3},\
-             \"jobs\":{},\"jobs_per_sec\":{:.3},\"cache_hits\":{},\"cache_misses\":{},\
-             \"stolen_jobs\":{}}}",
+             \"jobs\":{},\"jobs_per_sec\":{:.3},\"cache_hits\":{},\"cache_misses\":{}}}",
             row.config,
             row.workers,
             row.warm,
@@ -254,7 +249,6 @@ fn main() {
             row.jobs_per_sec,
             row.cache_hits,
             row.cache_misses,
-            row.stolen,
         );
     }
     json.push_str("]}");

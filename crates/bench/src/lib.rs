@@ -20,7 +20,7 @@
 //! | `pipeline` | fused multi-analysis pipeline vs. N sequential sessions | `BENCH_pipeline.json` |
 //! | `interp` | flat pre-translated IR vs. the structured walk | `BENCH_interp.json` |
 //! | `overhead` | host-call intrinsics vs. the generic call path (Fig. 9 revisited) | `BENCH_overhead.json` |
-//! | `fleet` | batch engine: shared translated-module cache + work-stealing workers, cold vs. warm, 1 worker vs. all cores | `BENCH_fleet.json` |
+//! | `fleet` | batch engine: shared translated-module cache + workers claiming jobs from one shared cursor, cold vs. warm, 1 worker vs. all cores | `BENCH_fleet.json` |
 //!
 //! Every extension binary accepts `--smoke` (a seconds-scale workload for
 //! CI) and `--out <path>` ([`BenchArgs`]); run them in release mode, e.g.

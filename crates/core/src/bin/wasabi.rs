@@ -43,7 +43,7 @@
 //! `instance`) follow the `--analysis` conventions above.
 //!
 //! **Batch mode** (`--batch`): run many (module × analysis-set × input)
-//! jobs from a JSON manifest over the work-stealing [`wasabi::fleet`],
+//! jobs from a JSON manifest over the worker [`wasabi::fleet`],
 //! sharing one translated-module cache — each distinct
 //! (module, hook set) is validated, instrumented, and translated exactly
 //! once, no matter how many jobs use it:
@@ -142,7 +142,7 @@ fn usage() -> &'static str {
      --time prints a phase breakdown (fused build/execute ms in analysis\n\
      mode; decode/instrument/encode ms in instrument mode; summed per-job\n\
      phases in batch mode)\n\
-     --batch runs the manifest's jobs over a work-stealing worker fleet\n\
+     --batch runs the manifest's jobs over a worker fleet\n\
      with a shared translated-module cache; each job is\n\
      {\"module\": <path>, \"analyses\": [...], \"invoke\": <export>, \"args\": [...]}\n\
      (module paths resolve relative to the manifest; analyses/invoke/args\n\
@@ -478,8 +478,8 @@ fn run_sweep(args: &Args, sweep_path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Batch mode: run the manifest's jobs over the work-stealing fleet with
-/// a shared translated-module cache.
+/// Batch mode: run the manifest's jobs over the worker fleet with a
+/// shared translated-module cache.
 fn run_batch(args: &Args, manifest_path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(manifest_path)
         .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;

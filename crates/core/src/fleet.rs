@@ -1,5 +1,5 @@
 //! Concurrent batch-analysis engine: run many (module × analysis-set ×
-//! input) jobs over a work-stealing fleet of worker threads.
+//! input) jobs over a fleet of worker threads.
 //!
 //! The paper parallelizes *instrumentation* (§3, Table 5); this module
 //! parallelizes *instrumented execution*. Three pieces make that cheap and
@@ -15,9 +15,10 @@
 //!   constructs **fresh instances inside the worker thread**, so analysis
 //!   state never crosses threads and per-job reports are exactly what a
 //!   sequential [`crate::pipeline::Pipeline`] run would produce.
-//! - **Work stealing** — jobs are dealt round-robin onto per-worker FIFO
-//!   deques (`crossbeam::deque`); an idle worker steals from the back of a
-//!   busy neighbour's queue, so skewed job costs don't serialize the batch.
+//! - **One shared cursor** — every job of a batch is known up front, so
+//!   each worker claims the next unclaimed job (`jobs[next.fetch_add(1)]`)
+//!   until the batch runs out: no job waits behind a slow one while a
+//!   worker is idle, and one worker runs jobs in submission order.
 //!
 //! Results come back in **submission order** regardless of which worker
 //! ran what, with per-job [`JobStats`]: cache hit/miss, queue latency, and
@@ -63,12 +64,11 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Steal, Stealer, Worker};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use wasabi_vm::{Budget, CancelToken, Trap};
@@ -106,9 +106,10 @@ pub struct Job {
     /// Arguments for the invoked export.
     pub args: Vec<Val>,
     /// Wall-clock execution deadline, measured from the moment a worker
-    /// dequeues the job (each retry attempt gets a fresh deadline). The
-    /// fleet watchdog fires it and the VM polls it; an expired job fails
-    /// with [`JobError::TimedOut`] without losing the worker.
+    /// claims the job (each retry attempt gets a fresh deadline). The VM
+    /// checks it at every budget poll, so a job stalled outside the VM (a
+    /// build, a host call) times out at its next poll; an expired job
+    /// fails with [`JobError::TimedOut`] without losing the worker.
     pub deadline: Option<Duration>,
     /// Cooperative cancellation: fire the token (from any thread) and
     /// the job fails with [`JobError::Cancelled`] within one VM poll
@@ -249,7 +250,7 @@ pub struct JobStats {
     /// Whether the module cache already held this job's `(key, hook set)`
     /// entry.
     pub cache_hit: bool,
-    /// Time from batch start to this job being dequeued by a worker.
+    /// Time from batch start to this job being claimed by a worker.
     pub queue: Duration,
     /// Fused session-build time (validate + instrument + translate, the
     /// direct-emit pass) this job paid — zero on a cache hit.
@@ -258,9 +259,6 @@ pub struct JobStats {
     pub execute: Duration,
     /// Index of the worker that executed the job.
     pub worker: usize,
-    /// `true` if the job was stolen: executed by a different worker than
-    /// the one it was dealt to.
-    pub stolen: bool,
     /// Retry attempts this job consumed (0 = first attempt succeeded or
     /// failed fatally; the phase times are those of the **last**
     /// attempt).
@@ -447,23 +445,15 @@ impl fmt::Debug for FleetBuilder {
     }
 }
 
-/// A work-stealing batch executor over a shared [`ModuleCache`]. Build
-/// with [`Fleet::builder`], queue with [`Fleet::submit`], execute with
-/// [`Fleet::run`].
+/// A batch executor whose workers claim jobs from one shared cursor over
+/// a shared [`ModuleCache`]. Build with [`Fleet::builder`], queue with
+/// [`Fleet::submit`], execute with [`Fleet::run`].
 pub struct Fleet {
     workers: usize,
     cache: Arc<ModuleCache>,
     factory: Option<AnalysisFactory>,
     pending: Vec<Job>,
     retries: u32,
-}
-
-/// A job dealt to a worker's deque, remembering its submission index and
-/// home worker (to detect steals).
-struct QueuedJob {
-    idx: usize,
-    home: usize,
-    job: Job,
 }
 
 impl Fleet {
@@ -503,9 +493,9 @@ impl Fleet {
     /// Run all queued jobs to completion and return their outcomes in
     /// submission order.
     ///
-    /// Jobs are dealt round-robin onto per-worker FIFO deques; idle
-    /// workers steal from the back of the busiest-looking neighbour.
-    /// Failures are per-job ([`JobOutcome::result`]) — including a
+    /// Each worker claims the next unclaimed job in submission order
+    /// until none is left, so an idle worker never waits while jobs
+    /// remain. Failures are per-job ([`JobOutcome::result`]) — including a
     /// *panicking* analysis, which is caught and reported as
     /// [`JobError::Panicked`] — so the batch itself always completes.
     /// The fleet can be reused: submitting and running again keeps the
@@ -523,7 +513,7 @@ impl Fleet {
         });
         let jobs: Vec<JobOutcome> = slots
             .into_iter()
-            .map(|slot| slot.expect("every dealt job produces exactly one outcome"))
+            .map(|slot| slot.expect("every claimed job produces exactly one outcome"))
             .collect();
         BatchResult {
             jobs,
@@ -552,7 +542,6 @@ impl Fleet {
     {
         let jobs = std::mem::take(&mut self.pending);
         let total = jobs.len();
-        let watched = jobs.iter().any(|job| job.deadline.is_some());
         let workers = self.workers.min(total.max(1));
         if total == 0 {
             return BatchSummary {
@@ -564,22 +553,17 @@ impl Fleet {
             };
         }
 
-        // Deterministic deal: job i goes to deque i % workers. Stealing
-        // may move it; the outcome records where it actually ran.
-        let queues: Vec<Worker<QueuedJob>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        for (idx, job) in jobs.into_iter().enumerate() {
-            let home = idx % workers;
-            queues[home].push(QueuedJob { idx, home, job });
-        }
-        let stealers: Vec<Stealer<QueuedJob>> = queues.iter().map(Worker::stealer).collect();
-
         let started = Instant::now();
         let (sender, receiver) = mpsc::channel::<JobOutcome>();
         let cache = &self.cache;
         let factory = self.factory;
         let retries = self.retries;
-        let stealers = &stealers;
-        let watchdog = &Watchdog::default();
+        let jobs = &jobs;
+        // The shared cursor: the index of the next unclaimed job. It
+        // publishes nothing (the jobs were written before the workers
+        // start), so `Relaxed` suffices: the read-modify-write alone hands
+        // each index to exactly one worker.
+        let next = &AtomicUsize::new(0);
 
         // Hits and misses are counted from jobs whose cache lookup
         // actually completed; jobs that failed earlier (unknown analysis,
@@ -588,37 +572,15 @@ impl Fleet {
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
 
-        // The watchdog thread exists only when some job carries a
-        // deadline: it fires expired tokens so even a job stuck outside
-        // the VM's own deadline poll (e.g. stalled in a host call or an
-        // injected delay) is reclaimed, without losing the worker.
         crossbeam::thread::scope(|scope| {
-            if watched {
-                scope.spawn(move |_| watchdog.run());
-            }
-            for (me, queue) in queues.into_iter().enumerate() {
+            for me in 0..workers {
                 let sender = sender.clone();
-                scope.spawn(move |_| {
-                    loop {
-                        // Own queue first (FIFO), then sweep the other
-                        // workers' deques. No job is ever re-enqueued, so
-                        // an empty sweep means the batch is drained.
-                        let next = queue.pop().or_else(|| {
-                            (1..stealers.len()).find_map(|offset| {
-                                match stealers[(me + offset) % stealers.len()].steal() {
-                                    Steal::Success(job) => Some(job),
-                                    Steal::Empty | Steal::Retry => None,
-                                }
-                            })
-                        });
-                        let Some(queued) = next else { break };
-                        let QueuedJob { idx, home, job } = queued;
-                        let outcome = run_with_retries(
-                            me, idx, home, &job, started, cache, factory, retries, watchdog,
-                        );
-                        if sender.send(outcome).is_err() {
-                            break;
-                        }
+                scope.spawn(move |_| loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(idx) else { break };
+                    let outcome = run_with_retries(me, idx, job, started, cache, factory, retries);
+                    if sender.send(outcome).is_err() {
+                        break;
                     }
                 });
             }
@@ -641,7 +603,6 @@ impl Fleet {
                 }
                 on_complete(outcome);
             }
-            watchdog.shut_down();
         })
         .expect("fleet worker panicked");
 
@@ -678,87 +639,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The fleet's deadline enforcer: workers register `(expiry, token)`
-/// pairs for deadline-carrying attempts; one thread scans every
-/// [`Watchdog::TICK`] and fires expired tokens. The VM polls the same
-/// tokens, so an expired job unwinds with a structured trap and the
-/// worker moves on — nothing is killed, nothing leaks.
-#[derive(Default)]
-struct Watchdog {
-    slots: Mutex<Vec<Option<(Instant, CancelToken)>>>,
-    /// Registered-and-unfired entries. When this is zero the scan thread
-    /// sleeps without touching the lock: a job that finished (or a cohort
-    /// whose members all retired) before its deadline stops consuming
-    /// watchdog ticks immediately, instead of its empty slot being
-    /// re-scanned until batch end.
-    active: AtomicUsize,
-    done: AtomicBool,
-}
-
-impl Watchdog {
-    const TICK: Duration = Duration::from_millis(2);
-
-    fn register(&self, expires: Instant, token: CancelToken) -> usize {
-        let mut slots = self.slots.lock().expect("watchdog lock");
-        self.active.fetch_add(1, Ordering::Relaxed);
-        if let Some(free) = slots.iter().position(Option::is_none) {
-            slots[free] = Some((expires, token));
-            free
-        } else {
-            slots.push(Some((expires, token)));
-            slots.len() - 1
-        }
-    }
-
-    fn release(&self, slot: usize) {
-        // `take` so a slot the scan already fired is not double-counted.
-        if self.slots.lock().expect("watchdog lock")[slot]
-            .take()
-            .is_some()
-        {
-            self.active.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    fn shut_down(&self) {
-        self.done.store(true, Ordering::Relaxed);
-    }
-
-    fn run(&self) {
-        while !self.done.load(Ordering::Relaxed) {
-            if self.active.load(Ordering::Relaxed) > 0 {
-                let mut slots = self.slots.lock().expect("watchdog lock");
-                let now = Instant::now();
-                for slot in slots.iter_mut() {
-                    if let Some((expires, token)) = slot {
-                        if now >= *expires {
-                            token.fire_deadline();
-                            *slot = None;
-                            self.active.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            std::thread::sleep(Self::TICK);
-        }
-    }
-}
-
 /// Run one job, retrying transient failures with jittered exponential
 /// backoff. Panic containment lives here too: each attempt runs under
 /// `catch_unwind`, so a panicking analysis (or injected panic fault)
 /// fails — or retries — only its own job.
-#[allow(clippy::too_many_arguments)]
 fn run_with_retries(
     me: usize,
     idx: usize,
-    home: usize,
     job: &Job,
     batch_started: Instant,
     cache: &ModuleCache,
     factory: Option<AnalysisFactory>,
     retries: u32,
-    watchdog: &Watchdog,
 ) -> JobOutcome {
     // Deterministic jitter: seeded from the job's identity, not a global
     // RNG, so a chaos run's backoff schedule reproduces from its seed.
@@ -766,14 +658,14 @@ fn run_with_retries(
     let mut attempt = 0u32;
     loop {
         // Per-attempt governance: a fresh deadline (measured from attempt
-        // start) and a token the watchdog can fire. An externally supplied
-        // token is shared across attempts — cancelling cancels them all.
-        let token = job.cancel.clone();
-        let governed = job.deadline.is_some() || token.is_some() || job.max_memory_pages.is_some();
+        // start), checked at every VM budget poll. An externally supplied
+        // token is shared across attempts — cancelling cancels them all;
+        // otherwise the attempt gets its own, which the poll fires on
+        // expiry so a sweep's sibling members stop too.
+        let governed =
+            job.deadline.is_some() || job.cancel.is_some() || job.max_memory_pages.is_some();
         let budget = governed.then(|| {
-            let mut budget = Budget::new();
-            let token = token.clone().unwrap_or_default();
-            budget = budget.cancel_token(token);
+            let mut budget = Budget::new().cancel_token(job.cancel.clone().unwrap_or_default());
             if let Some(deadline) = job.deadline {
                 budget = budget.deadline(deadline);
             }
@@ -782,16 +674,9 @@ fn run_with_retries(
             }
             budget
         });
-        let slot = match (&budget, job.deadline) {
-            (Some(budget), Some(deadline)) => {
-                let token = budget.token().expect("governed budget has a token").clone();
-                Some(watchdog.register(Instant::now() + deadline, token))
-            }
-            _ => None,
-        };
 
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(me, idx, home, job, batch_started, cache, factory, budget)
+            run_job(me, idx, job, batch_started, cache, factory, budget)
         }))
         .unwrap_or_else(|payload| JobOutcome {
             job: idx,
@@ -805,14 +690,10 @@ fn run_with_retries(
                 build: Duration::ZERO,
                 execute: Duration::ZERO,
                 worker: me,
-                stolen: me != home,
                 retries: 0,
             },
             sweep: None,
         });
-        if let Some(slot) = slot {
-            watchdog.release(slot);
-        }
 
         let transient = matches!(&outcome.result, Err(e) if e.is_transient());
         if !transient || attempt >= retries {
@@ -842,11 +723,9 @@ fn run_with_retries(
 
 /// Execute one job on worker `me`: construct fresh analyses, fetch (or
 /// build) the shared session, assemble a per-job pipeline, run, report.
-#[allow(clippy::too_many_arguments)]
 fn run_job(
     me: usize,
     idx: usize,
-    home: usize,
     job: &Job,
     batch_started: Instant,
     cache: &ModuleCache,
@@ -860,7 +739,6 @@ fn run_job(
         build: Duration::ZERO,
         execute: Duration::ZERO,
         worker: me,
-        stolen: me != home,
         retries: 0,
     };
     let fail = |error: JobError, stats: JobStats| JobOutcome {
@@ -874,8 +752,8 @@ fn run_job(
     };
 
     // Failpoint: `error` → a retryable transient failure, `panic` →
-    // contained by the attempt's catch_unwind, `delay` → a stalled
-    // worker the deadline machinery has to reclaim.
+    // contained by the attempt's catch_unwind, `delay` → a stall outside
+    // the VM, which an expired deadline ends at the job's first poll.
     if let Some(message) = crate::fault::fire("fleet/job") {
         return fail(JobError::Transient(message), stats);
     }
@@ -1221,10 +1099,6 @@ mod tests {
         for outcome in &batch.jobs {
             assert!(outcome.stats.worker < batch.workers);
             assert!(outcome.stats.execute > Duration::ZERO);
-            // Stolen jobs record a worker different from their deal slot.
-            if !outcome.stats.stolen {
-                assert_eq!(outcome.stats.worker, outcome.job % batch.workers);
-            }
         }
         // Exactly the cache-missing job paid the fused build time.
         let payers: Vec<_> = batch
@@ -1275,9 +1149,9 @@ mod tests {
     #[test]
     fn streaming_delivers_early_outcomes_before_the_batch_completes() {
         let _serial = crate::fault::test_lock();
-        // One worker, FIFO deal: job 0 must reach the callback while job 2
-        // has not yet produced an outcome — the callback observes how many
-        // outcomes exist at delivery time.
+        // One worker claims jobs in order: job 0 must reach the callback
+        // while job 2 has not yet produced an outcome — the callback
+        // observes how many outcomes exist at delivery time.
         let module = Arc::new(square_module());
         let mut fleet = Fleet::builder().workers(1).build();
         for i in 0..3 {

@@ -164,13 +164,13 @@ impl Instrumenter {
             .collect();
         let hook_imports = crate::hookmap::hook_imports(&info.hooks);
 
+        // `instrument_functions` validated `module`.
         let (translated, translate_busy) = TranslatedModule::new_instrumented_with_threads(
             module,
             &funcs,
             hook_imports,
             self.threads,
-        )
-        .expect("direct-emit input module already validated");
+        );
         crate::stats::record_build_worker_time(instrument_busy + translate_busy);
         Ok((translated, info))
     }

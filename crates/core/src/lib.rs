@@ -58,8 +58,7 @@
 //!
 //! To run *several* analyses over one pass, see [`pipeline`]. To run
 //! *many jobs* — (module × analysis-set × input) combinations — over a
-//! work-stealing worker fleet with a shared translated-module [`cache`],
-//! see [`fleet`].
+//! worker fleet with a shared translated-module [`cache`], see [`fleet`].
 
 pub mod cache;
 pub mod convention;

@@ -252,6 +252,39 @@ fn cancellation_releases_the_worker_and_the_batch_completes() {
     );
 }
 
+#[test]
+fn deadline_passing_during_a_stall_outside_the_vm_times_the_job_out() {
+    let _serial = fault::test_lock();
+    fault::clear();
+    let square = Arc::new(square_module());
+    let spin = Arc::new(spin_module());
+
+    // Every job stalls 150 ms in the worker before it reaches the VM, so
+    // the spin job's 100 ms deadline passes while nothing polls it. Its
+    // first budget poll in the VM must see the expired deadline.
+    fault::configure("fleet/job=delay150", 11).unwrap();
+    let mut fleet = Fleet::builder().workers(1).build();
+    fleet.submit(Job::new("spin", spin, "spin", vec![]).deadline(Duration::from_millis(100)));
+    fleet.submit(Job::new("square", square, "main", vec![Val::I32(5)]));
+    let started = Instant::now();
+    let batch = fleet.run();
+    fault::clear();
+
+    assert!(
+        matches!(
+            batch.jobs[0].result.as_ref().unwrap_err(),
+            JobError::TimedOut
+        ),
+        "{:?}",
+        batch.jobs[0].result
+    );
+    assert_eq!(batch.jobs[1].result.as_ref().unwrap(), &vec![Val::I32(25)]);
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "the stalled job released the worker"
+    );
+}
+
 /// `main(x)`: spins forever when `x != 0`, otherwise returns `x * x` —
 /// one cohort input selects the runaway member.
 fn conditional_spin_module() -> Module {

@@ -5,7 +5,7 @@
 //! [`wasabi::ModuleCache`] of prepared (instrumented + translated)
 //! sessions. Clients connect over a unix-domain or TCP socket, speak the
 //! length-prefixed frame protocol of [`crate::protocol`], and submit
-//! analysis jobs that execute on a work-stealing [`wasabi::Fleet`] —
+//! analysis jobs that execute on a [`wasabi::Fleet`] of workers —
 //! results **stream back per job as each finishes**, so a client sees
 //! its first result while later jobs are still running.
 //!

@@ -271,7 +271,7 @@ pub struct JobSpec {
     /// single frame. Mutually exclusive with non-empty `args`.
     pub sweep_args: Option<Vec<Vec<JsonValue>>>,
     /// Wall-clock deadline for this job in milliseconds, measured from
-    /// the moment a fleet worker dequeues it (`None`: ungoverned). An
+    /// the moment a fleet worker claims it (`None`: ungoverned). An
     /// expired job fails with a structured error; its worker survives.
     pub deadline_ms: Option<u64>,
 }

@@ -29,11 +29,13 @@ const DEADLINE: u8 = 2;
 
 /// A shared, clonable cancellation flag.
 ///
-/// One side (a watchdog thread, a daemon handling a `cancel` request, a
-/// test) calls [`cancel`](CancelToken::cancel) or
-/// [`fire_deadline`](CancelToken::fire_deadline); the interpreter polls
-/// it from the hot loop and unwinds with [`Trap::Cancelled`] or
-/// [`Trap::DeadlineExceeded`] within one poll interval.
+/// One side (a daemon handling a `cancel` request, a test) calls
+/// [`cancel`](CancelToken::cancel); a [`Budget`] whose deadline expires
+/// calls [`fire_deadline`](CancelToken::fire_deadline) at the poll that
+/// sees it, so every instance sharing the token stops too. The
+/// interpreter polls the token from the hot loop and unwinds with
+/// [`Trap::Cancelled`] or [`Trap::DeadlineExceeded`] within one poll
+/// interval.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicU8>);
 
@@ -106,8 +108,8 @@ impl Budget {
     }
 
     /// Poll `token` from the hot loop; trap with [`Trap::Cancelled`]
-    /// (or [`Trap::DeadlineExceeded`], if the token was expired by a
-    /// watchdog) once it fires.
+    /// (or [`Trap::DeadlineExceeded`], if a budget sharing the token saw
+    /// its deadline expire) once it fires.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self

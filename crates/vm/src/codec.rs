@@ -7,7 +7,11 @@
 //! that [`decode`] of an [`encode`] output reproduces the code exactly, and
 //! that [`decode`] of arbitrary bytes never panics — it bounds-checks every
 //! read and rejects unknown tags, so corruption degrades to `None`, never
-//! to wrong code that a checksum missed.
+//! to wrong code that a checksum missed. It also rejects ops that point
+//! past the module-wide tables the interpreter indexes unchecked (a
+//! host call's argument template in `args`, a `call_indirect` signature in
+//! `sigs`), so a crafted file with a valid checksum cannot panic the first
+//! call into it.
 //!
 //! Encoding choices:
 //!
@@ -491,8 +495,8 @@ impl<'a> Reader<'a> {
 }
 
 /// Deserialize module code encoded by [`encode`]. Returns `None` for any
-/// malformed input (truncated, unknown tags, bad lengths, trailing bytes)
-/// — never panics.
+/// malformed input (truncated, unknown tags, bad lengths, trailing bytes,
+/// an op indexing past the `args` or `sigs` table) — never panics.
 pub(crate) fn decode(bytes: &[u8]) -> Option<ModuleCode> {
     let mut r = Reader::new(bytes);
     let funcs: Vec<FuncCode> = (0..r.len()?)
@@ -522,6 +526,19 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<ModuleCode> {
             })
         })
         .collect::<Option<_>>()?;
+    // The interpreter slices `args` and indexes `sigs` unchecked.
+    let in_tables = |op: &Op| match *op {
+        Op::HostCall {
+            args_at, args_len, ..
+        } => args_at
+            .checked_add(args_len)
+            .is_some_and(|end| end as usize <= args.len()),
+        Op::CallIndirect { sig, .. } => (sig as usize) < sigs.len(),
+        _ => true,
+    };
+    if !funcs.iter().flat_map(|f| &f.ops).all(in_tables) {
+        return None;
+    }
     // Trailing bytes mean the writer and reader disagree about the format:
     // reject rather than silently ignore.
     (r.remaining() == 0).then_some(ModuleCode {
@@ -534,12 +551,16 @@ pub(crate) fn decode(bytes: &[u8]) -> Option<ModuleCode> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::flat::{translate_module_with, TranslateOptions};
+    use crate::TranslatedModule;
     use wasabi_wasm::builder::ModuleBuilder;
+    use wasabi_wasm::module::Module;
     use wasabi_wasm::validate::validate;
 
-    fn sample_code() -> ModuleCode {
+    fn sample_module() -> Module {
         let mut builder = ModuleBuilder::new();
         builder.memory(1, None);
         let host = builder.import_function("env", "host", &[ValType::I32, ValType::I32], &[]);
@@ -566,7 +587,11 @@ mod tests {
         builder.elements(0, vec![f]);
         let module = builder.finish();
         validate(&module).expect("validates");
-        translate_module_with(&module, TranslateOptions::default())
+        module
+    }
+
+    fn sample_code() -> ModuleCode {
+        translate_module_with(&sample_module(), TranslateOptions::default())
     }
 
     #[test]
@@ -590,6 +615,60 @@ mod tests {
         let mut bytes = encode(&sample_code());
         bytes.push(0);
         assert!(decode(&bytes).is_none());
+    }
+
+    #[test]
+    fn rejects_ops_indexing_past_their_tables() {
+        let module = Arc::new(sample_module());
+        let clean = encode(&sample_code());
+        assert!(TranslatedModule::from_encoded_code(Arc::clone(&module), &clean).is_some());
+
+        // Each edit rewrites the first op it applies to, given the lengths
+        // of `args` and `sigs`, and reports whether it applied.
+        type Edit = fn(&mut Op, u32, u32) -> bool;
+        let edits: [(&str, Edit); 3] = [
+            ("args_len past args", |op, args, _| match op {
+                Op::HostCall {
+                    args_at, args_len, ..
+                } if *args_len > 0 => {
+                    *args_len = args - *args_at + 1;
+                    true
+                }
+                _ => false,
+            }),
+            ("args_at + args_len overflows", |op, _, _| match op {
+                Op::HostCall {
+                    args_at, args_len, ..
+                } if *args_len > 0 => {
+                    *args_at = u32::MAX;
+                    true
+                }
+                _ => false,
+            }),
+            ("sig past sigs", |op, _, sigs| match op {
+                Op::CallIndirect { sig, .. } => {
+                    *sig = sigs;
+                    true
+                }
+                _ => false,
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut code = sample_code();
+            let (args, sigs) = (code.args.len() as u32, code.sigs.len() as u32);
+            let edited = code
+                .funcs
+                .iter_mut()
+                .flat_map(|f| f.ops.iter_mut())
+                .any(|op| edit(op, args, sigs));
+            assert!(edited, "{what}: the sample has an op to edit");
+            let bytes = encode(&code);
+            assert!(decode(&bytes).is_none(), "{what}");
+            assert!(
+                TranslatedModule::from_encoded_code(Arc::clone(&module), &bytes).is_none(),
+                "{what}"
+            );
+        }
     }
 
     #[test]

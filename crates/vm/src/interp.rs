@@ -223,10 +223,9 @@ impl TranslatedModule {
         })
     }
 
-    /// Direct-emit instrumentation: validate the **uninstrumented** module
-    /// and translate the given pre-instrumented bodies in its place — no
-    /// binary rewrite, no re-encode, no validation of a bloated rewritten
-    /// module.
+    /// Direct-emit instrumentation: translate the given pre-instrumented
+    /// bodies in place of the **uninstrumented** module's — no binary
+    /// rewrite, no re-encode, no validation of a bloated rewritten module.
     ///
     /// `funcs` is aligned with `module.functions` (`None` keeps the
     /// original body); injected hook calls target the synthetic
@@ -238,23 +237,20 @@ impl TranslatedModule {
     /// and hooks the host declares no-op ([`Host::is_noop`]) retire
     /// without crossing the host boundary.
     ///
-    /// The caller guarantees the instrumented bodies are valid against the
-    /// original module extended by the hook imports — this constructor
-    /// validates only the original module (instrumenters type-check while
-    /// injecting, so re-checking their output would be pure overhead).
+    /// The caller has validated `module` and guarantees the instrumented
+    /// bodies are valid against it extended by the hook imports: this
+    /// constructor checks neither (an instrumenter validates its input
+    /// once and type-checks while injecting, so re-checking here would be
+    /// pure overhead).
     ///
     /// `module` may be an `Arc<Module>` held elsewhere: the translation
     /// then shares it rather than owning a copy.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the (original) module does not validate.
     pub fn new_instrumented(
         module: impl Into<Arc<Module>>,
         funcs: &[Option<InstrumentedFunc>],
         hook_imports: Vec<HookImport>,
-    ) -> Result<Self, wasabi_wasm::ValidationError> {
-        Self::new_instrumented_with_threads(module, funcs, hook_imports, 1).map(|(this, _)| this)
+    ) -> Self {
+        Self::new_instrumented_with_threads(module, funcs, hook_imports, 1).0
     }
 
     /// Like [`TranslatedModule::new_instrumented`], but fans the
@@ -266,18 +262,14 @@ impl TranslatedModule {
     ///
     /// Also returns the summed worker busy time, for callers that fold
     /// per-thread accumulation into build phase timers once per build.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the (original) module does not validate.
+    /// The caller has validated `module`, as for `new_instrumented`.
     pub fn new_instrumented_with_threads(
         module: impl Into<Arc<Module>>,
         funcs: &[Option<InstrumentedFunc>],
         hook_imports: Vec<HookImport>,
         threads: usize,
-    ) -> Result<(Self, std::time::Duration), wasabi_wasm::ValidationError> {
+    ) -> (Self, std::time::Duration) {
         let module = module.into();
-        validate(&module)?;
         let (code, busy_nanos) = flat::translate_module_parallel(
             &module,
             Some(funcs),
@@ -285,13 +277,13 @@ impl TranslatedModule {
             TranslateOptions::default(),
             threads,
         );
-        Ok((
+        (
             TranslatedModule {
                 module,
                 code: Arc::new(code),
             },
             std::time::Duration::from_nanos(busy_nanos),
-        ))
+        )
     }
 
     /// The underlying module.

@@ -115,8 +115,7 @@ proptest! {
         let funcs: Vec<Option<InstrumentedFunc>> = vec![None; module.functions.len()];
 
         let base = TranslatedModule::new(module.clone()).expect("validates");
-        let direct = TranslatedModule::new_instrumented(module, &funcs, Vec::new())
-            .expect("validates");
+        let direct = TranslatedModule::new_instrumented(module, &funcs, Vec::new());
 
         prop_assert!(direct.hook_imports().is_empty());
         prop_assert_eq!(direct.op_streams(), base.op_streams());
@@ -170,8 +169,7 @@ proptest! {
             })
             .collect();
 
-        let direct = TranslatedModule::new_instrumented(module, &funcs, vec![test_hook()])
-            .expect("validates");
+        let direct = TranslatedModule::new_instrumented(module, &funcs, vec![test_hook()]);
         prop_assert_eq!(direct.hook_imports().len(), 1);
 
         let base_streams = base.op_streams();

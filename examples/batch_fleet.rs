@@ -1,5 +1,6 @@
-//! Batch analysis with the work-stealing fleet: many (module ×
-//! analysis-set × input) jobs, one shared translated-module cache.
+//! Batch analysis with the worker fleet: many (module × analysis-set ×
+//! input) jobs, one shared translated-module cache, workers claiming
+//! jobs from one shared queue.
 //!
 //! Each distinct (module, hook set) pair is validated, instrumented, and
 //! flat-IR-translated exactly once — every further job on it is a cache
@@ -42,14 +43,13 @@ fn main() {
         assert!(batch.all_ok(), "all jobs succeed");
         println!(
             "round {round}: {} jobs on {} workers in {:.1} ms = {:.0} jobs/sec \
-             ({} cache hits, {} misses, {} stolen)",
+             ({} cache hits, {} misses)",
             batch.jobs.len(),
             batch.workers,
             batch.wall.as_secs_f64() * 1000.0,
             batch.jobs_per_sec(),
             batch.cache_hits,
             batch.cache_misses,
-            batch.jobs.iter().filter(|j| j.stats.stolen).count(),
         );
         if round == 0 {
             assert_eq!(batch.cache_misses, 8, "one build per (module, hook set)");

@@ -1,178 +1,12 @@
 //! Offline shim for `crossbeam`: `crossbeam::thread::scope`, built on
-//! `std::thread::scope` (stable since Rust 1.63), and the
-//! `crossbeam::deque` work-stealing primitives (`Worker`/`Stealer`/
-//! `Steal`). The parallel instrumenter (paper §3) and the
-//! `wasabi::fleet` batch engine are the users.
+//! `std::thread::scope` (stable since Rust 1.63). The parallel
+//! instrumenter (paper §3) and the `wasabi::fleet` batch engine are the
+//! users.
 //!
 //! Differences from the real crate are confined to behavior the
 //! workspace does not rely on: the scope closure and spawned closures
 //! receive the same `&Scope` argument, handles expose `join()`, and a
 //! panic anywhere inside the scope is surfaced as `Err` from `scope`.
-//! The deques are lock-based (`Mutex<VecDeque>`) instead of the real
-//! crate's lock-free Chase–Lev implementation — same API, same FIFO
-//! owner order, `Steal::Retry` is never returned — which is plenty for
-//! job-granularity scheduling (jobs here are whole instrument+execute
-//! passes, not microtasks).
-
-pub mod deque {
-    //! Lock-based stand-in for `crossbeam-deque`: per-worker FIFO job
-    //! queues with stealing.
-    //!
-    //! The owner pops from the front of its own queue; thieves steal from
-    //! the back, so the oldest still-queued work stays with the owner and
-    //! contention on short queues is minimal. All operations take the
-    //! queue mutex, so (unlike the real crate) `Steal::Retry` is never
-    //! produced — callers that match on it still compile and behave
-    //! correctly.
-
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// Result of a steal attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The queue was empty.
-        Empty,
-        /// One task was stolen.
-        Success(T),
-        /// The operation lost a race and should be retried (never
-        /// produced by this lock-based shim; kept for API compatibility).
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// The stolen task, if any.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(task) => Some(task),
-                Steal::Empty | Steal::Retry => None,
-            }
-        }
-
-        /// `true` if the queue was observed empty.
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-    }
-
-    /// A FIFO queue owned by one worker thread; other threads steal
-    /// through [`Stealer`] handles.
-    pub struct Worker<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Worker<T> {
-        /// A new empty FIFO worker queue.
-        pub fn new_fifo() -> Self {
-            Worker {
-                queue: Arc::new(Mutex::new(VecDeque::new())),
-            }
-        }
-
-        /// Enqueue a task at the back.
-        pub fn push(&self, task: T) {
-            self.queue.lock().unwrap().push_back(task);
-        }
-
-        /// Dequeue the oldest task (FIFO owner order).
-        pub fn pop(&self) -> Option<T> {
-            self.queue.lock().unwrap().pop_front()
-        }
-
-        /// `true` if the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().unwrap().is_empty()
-        }
-
-        /// Number of queued tasks.
-        pub fn len(&self) -> usize {
-            self.queue.lock().unwrap().len()
-        }
-
-        /// A handle other threads use to steal from this queue.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    /// A handle for stealing tasks from another worker's queue.
-    pub struct Stealer<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Stealer<T> {
-        /// Steal one task from the back of the victim's queue.
-        pub fn steal(&self) -> Steal<T> {
-            match self.queue.lock().unwrap().pop_back() {
-                Some(task) => Steal::Success(task),
-                None => Steal::Empty,
-            }
-        }
-
-        /// `true` if the victim's queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.queue.lock().unwrap().is_empty()
-        }
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn owner_is_fifo_and_thieves_take_the_back() {
-            let worker = Worker::new_fifo();
-            let stealer = worker.stealer();
-            worker.push(1);
-            worker.push(2);
-            worker.push(3);
-            assert_eq!(worker.len(), 3);
-            assert_eq!(worker.pop(), Some(1));
-            assert_eq!(stealer.steal(), Steal::Success(3));
-            assert_eq!(worker.pop(), Some(2));
-            assert_eq!(worker.pop(), None);
-            assert!(stealer.steal().is_empty());
-        }
-
-        #[test]
-        fn concurrent_steals_deliver_every_task_once() {
-            let worker = Worker::new_fifo();
-            for i in 0..1000u32 {
-                worker.push(i);
-            }
-            let total: u64 = std::thread::scope(|s| {
-                let thieves: Vec<_> = (0..4)
-                    .map(|_| {
-                        let stealer = worker.stealer();
-                        s.spawn(move || {
-                            let mut sum = 0u64;
-                            while let Steal::Success(task) = stealer.steal() {
-                                sum += u64::from(task);
-                            }
-                            sum
-                        })
-                    })
-                    .collect();
-                let mut sum = 0u64;
-                while let Some(task) = worker.pop() {
-                    sum += u64::from(task);
-                }
-                sum + thieves.into_iter().map(|t| t.join().unwrap()).sum::<u64>()
-            });
-            assert_eq!(total, (0..1000u64).sum());
-        }
-    }
-}
 
 pub mod thread {
     use std::any::Any;

@@ -1,8 +1,9 @@
 //! Property test for the batch fleet (ISSUE 5 acceptance criterion):
-//! N jobs pushed through a work-stealing `Fleet` — random worker counts,
-//! shared `ModuleCache`, random job→module assignment, random analysis
-//! subsets — produce report JSON **identical** to the same jobs run
-//! sequentially through the `Pipeline` API, and in submission order.
+//! N jobs pushed through a `Fleet`, whose workers claim them from one
+//! shared cursor — random worker counts, shared `ModuleCache`, random
+//! job→module assignment, random analysis subsets — produce report JSON
+//! **identical** to the same jobs run sequentially through the `Pipeline`
+//! API, and in submission order.
 //!
 //! Also: the shared cache performs **exactly one** instrument+translate
 //! per distinct (module, analysis hook set), no matter how many jobs or
@@ -42,7 +43,7 @@ fn sequential_reports(module: &Module, names: &[String]) -> Vec<String> {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 10,
+        cases: ProptestConfig::env_cases(10),
         ..ProptestConfig::default()
     })]
 
@@ -203,7 +204,7 @@ fn one_translation_per_distinct_module_across_batches() {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 10,
+        cases: ProptestConfig::env_cases(10),
         ..ProptestConfig::default()
     })]
 
